@@ -10,7 +10,10 @@
 //! * the full **obs event stream** the same run emits through a probe,
 //! * the final `CacheStats`, held verbatim for debuggability,
 //! * whole **sweep transcripts** (experiment text output) at `--jobs 1`
-//!   and `--jobs 2`.
+//!   and `--jobs 2`,
+//! * one 8-core **system run**: bare, through a probe, and through the
+//!   span profiler with and without periodic audits (which pins the
+//!   dispatch loop's schedule and its `sched`/`core`/`audit` spans).
 //!
 //! The streams are compared via FNV-1a-64 over their exact bytes, so a
 //! match here *is* byte-identity with the pre-refactor build. Regenerate
@@ -26,10 +29,14 @@ use maya_bench::designs::Design;
 // lint:allow(arch/dep-graph) root-package twin test: pins sweep transcripts at --jobs 1 vs 2, which requires driving the scheduler directly
 use maya_bench::sched::{self, RunOpts};
 use maya_bench::Scale;
+use maya_repro::champsim_lite::{System, SystemConfig};
 use maya_repro::maya_core::{
     CacheModel, DomainId, MayaCache, MayaConfig, MirageCache, MirageConfig, Request,
 };
-use maya_repro::maya_obs::{Event, Probe, ProbeHandle};
+use maya_repro::maya_obs::{
+    Event, Probe, ProbeHandle, ProfileHandle, SpanProfiler, SpanStats, SpanTree,
+};
+use maya_repro::workloads::mixes::hetero_mixes;
 
 /// Baseline-equivalent capacity: small enough for debug runs, large enough
 /// that the workload below forces evictions in every design.
@@ -262,4 +269,79 @@ fn sweep_transcripts_match_committed_fixtures() {
         assert_eq!(serial, parallel, "{id}: jobs-2 must reproduce jobs-1");
         compare_or_update(&format!("sweep_{id}.txt"), &serial);
     }
+}
+
+/// One 8-core heterogeneous run (Table VI mix M3) on Maya, observed three
+/// ways: the bare `RunResult`, the probe event stream, and the span tree's
+/// deterministic self counts, cycles and accesses. A checked run's span
+/// tree also pins where the periodic audits fall. Together they pin the
+/// multi-core schedule of both the bare and the observed dispatch paths.
+#[test]
+fn system_run_matches_committed_fixture() {
+    let cfg = SystemConfig::eight_core_default().with_instructions(10_000, 30_000);
+    let build = || {
+        let mix = hetero_mixes().into_iter().nth(2).expect("mix M3");
+        let llc = Design::Maya.build(cfg.baseline_llc_lines(), SEED);
+        System::new(cfg.clone(), llc, &mix, SEED)
+    };
+    let hash = |s: &str| {
+        let mut h = Fnv::new();
+        h.write(s.as_bytes());
+        h.0
+    };
+    let bare = build().run();
+
+    let mut sys = build();
+    let (handle, rc) = ProbeHandle::of(HashingProbe {
+        hash: Fnv::new(),
+        events: 0,
+    });
+    sys.set_probe(handle);
+    let probed = sys.run();
+    let probe = rc.borrow();
+
+    let mut sys = build();
+    let (handle, prof) = ProfileHandle::of(SpanProfiler::new());
+    sys.set_profiler(handle);
+    let profiled = sys.run();
+    let tree = prof.borrow().tree();
+
+    let mut sys = build();
+    let (handle, prof) = ProfileHandle::of(SpanProfiler::new());
+    sys.set_profiler(handle);
+    let checked = sys.run_checked();
+    let checked_tree = prof.borrow().tree();
+    let spans = |t: &SpanTree| {
+        let h = |pick: fn(&SpanStats) -> u64| hash(&t.collapsed(pick));
+        format!(
+            "count={:016x} cycles={:016x} accesses={:016x}",
+            h(|s| s.count),
+            h(|s| s.cycles),
+            h(|s| s.accesses)
+        )
+    };
+
+    let bare = format!("{bare:?}");
+    assert_eq!(bare, format!("{probed:?}"), "probe changed the system run");
+    assert_eq!(
+        bare,
+        format!("{profiled:?}"),
+        "profiler changed the system run"
+    );
+    assert_eq!(
+        bare,
+        format!("{checked:?}"),
+        "auditing changed the system run"
+    );
+    let out = format!(
+        "m3-maya result={:016x} events={:016x} n_events={}\n\
+         m3-maya spans {}\n\
+         m3-maya checked spans {}\n",
+        hash(&bare),
+        probe.hash.0,
+        probe.events,
+        spans(&tree),
+        spans(&checked_tree),
+    );
+    compare_or_update("system_run.txt", &out);
 }
