@@ -3,7 +3,7 @@
 //! Measures (a) PRINCE throughput on the fused table-driven path and the
 //! spec-literal reference path, (b) the simulator front end in isolation —
 //! block-batched trace generation, the SoA private-cache lookup, and the
-//! fused block-dispatch loop on a baseline LLC — (c) end-to-end simulator
+//! block-draining dispatch loop on a baseline LLC — (c) end-to-end simulator
 //! throughput on short Maya and Mirage runs, and (d) cold-versus-warm
 //! sweep wall time per experiment family through the `sched` engine and
 //! its result cache, then writes all numbers as JSONL to `BENCH_perf.json`.
@@ -84,7 +84,7 @@ const MIN_E2E_ACCESSES_PER_SEC: f64 = 500_000.0;
 const MIN_MIRAGE_E2E_ACCESSES_PER_SEC: f64 = 350_000.0;
 
 /// Accesses synthesized per benchmark family in the trace-generation
-/// microbench (the block-batched `fill_block` path the simulator's fused
+/// microbench (the block-batched `fill_block` path the simulator's dispatch
 /// loop consumes).
 const TRACE_GEN_ACCESSES: u64 = 1_000_000;
 
@@ -218,7 +218,7 @@ fn main() {
     let index_cps = slow * INDEX_CALLS as f64 / index_secs.max(1e-9);
 
     // Front-end stage 1: block-batched trace generation. This is the pure
-    // synthesis cost the fused loop pays the first time a (benchmark,
+    // synthesis cost the dispatch loop pays the first time a (benchmark,
     // core, seed) stream is pulled; replays hit the trace cache instead.
     // Two benchmark families so both the streaming (lbm) and pointer-chase
     // (mcf) mixture shapes are in the measurement.
@@ -275,7 +275,7 @@ fn main() {
     // Front-end stage 3 + end-to-end simulator throughput: fixed scale and
     // workload, the same shape `diag` uses. The baseline run is timed per
     // *trace* access — block pull, L1/L2, prefetcher, and a cheap LLC —
-    // so it isolates the fused dispatch loop; it also records the mix's
+    // so it isolates the dispatch loop; it also records the mix's
     // streams into the trace cache, which the Maya and Mirage timings then
     // replay, exactly like the later rows of a diag grid. Both secure
     // designs sit on the shared arena, so either regressing flags a

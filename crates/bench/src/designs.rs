@@ -8,6 +8,9 @@ use maya_core::{
 use maya_fault::{FaultPlan, FaultyModel, RecoveryPolicy};
 use power_model::maya_iso_config;
 
+/// Security domains the partitioned designs divide the LLC among.
+const DOMAINS: usize = 8;
+
 /// Every LLC design the evaluation touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Design {
@@ -88,6 +91,21 @@ impl Design {
         }
     }
 
+    /// The registered design whose [`id`](Self::id) is `id`, if any (a
+    /// lookup over [`Design::all`]).
+    pub fn from_id(id: &str) -> Option<Design> {
+        Design::all().into_iter().find(|d| d.id() == id)
+    }
+
+    /// How many security domains (cores) the design can serve, or `None`
+    /// if it takes any number.
+    pub fn max_domains(&self) -> Option<usize> {
+        match self {
+            Design::Dawg | Design::PageColoring | Design::Bce => Some(DOMAINS),
+            _ => None,
+        }
+    }
+
     /// Builds the design for a system whose non-secure baseline would hold
     /// `baseline_lines` lines (2 MB = 32K lines per core).
     ///
@@ -124,17 +142,17 @@ impl Design {
                 ..maya_iso_config()
             })),
             Design::FullyAssociative => Box::new(FullyAssocCache::new(baseline_lines, seed)),
-            Design::Dawg => Box::new(partitioned::dawg(sets, 16, 8, Policy::Drrip)),
+            Design::Dawg => Box::new(partitioned::dawg(sets, 16, DOMAINS, Policy::Drrip)),
             Design::PageColoring => {
-                Box::new(partitioned::page_coloring(sets, 16, 8, Policy::Drrip))
+                Box::new(partitioned::page_coloring(sets, 16, DOMAINS, Policy::Drrip))
             }
             Design::Bce => {
                 // Equal allocations sized to the whole cache, in 64 KB units.
-                let units_per_domain = baseline_lines / 8 / partitioned::BCE_UNIT_LINES;
+                let units_per_domain = baseline_lines / DOMAINS / partitioned::BCE_UNIT_LINES;
                 Box::new(partitioned::bce(
                     sets,
                     16,
-                    &[units_per_domain; 8],
+                    &[units_per_domain; DOMAINS],
                     Policy::Drrip,
                 ))
             }
@@ -195,6 +213,9 @@ mod tests {
         let before = ids.len();
         ids.dedup();
         assert_eq!(ids.len(), before, "duplicate design ids");
+        for d in Design::all() {
+            assert_eq!(Design::from_id(&d.id()), Some(d));
+        }
     }
 
     #[test]

@@ -269,18 +269,18 @@ impl System {
     }
 
     fn run_impl(&mut self, audit_every: Option<u64>) -> RunResult {
-        let target = self.config.warmup_instructions + self.config.measure_instructions;
+        let cfg = &self.config;
+        let target = cfg
+            .warmup_instructions
+            .saturating_add(cfg.measure_instructions);
         let _run = self.profiler.span(Component::Run);
         // With no probe, no profiler, and no auditing, every per-access
-        // instrumentation call in the dispatch loop is a guaranteed no-op —
-        // take the fused block-drain path that skips them entirely. The two
-        // paths execute the identical schedule and access stream (pinned by
-        // the profiled-vs-bare conservation tests), they differ only in
-        // observation overhead.
+        // observation call is a guaranteed no-op, so the loop is
+        // instantiated without them.
         if self.probe.is_active() || self.profiler.is_active() || audit_every.is_some() {
-            self.run_instrumented(target, audit_every);
+            self.drain::<true>(target, audit_every);
         } else {
-            self.run_fused(target);
+            self.drain::<false>(target, None);
         }
         let cores = self
             .cores
@@ -300,88 +300,56 @@ impl System {
         }
     }
 
-    /// The observed dispatch loop: one scheduler decision, one profiler
-    /// clock advance, and one `sched`/`core` span boundary per access.
-    fn run_instrumented(&mut self, target: u64, audit_every: Option<u64>) {
+    /// The dispatch loop. Each access goes to the core furthest behind in
+    /// time (the first on ties), so cores interleave realistically at the
+    /// shared LLC and DRAM. The pick is made once per drain: core `i` stays
+    /// the first minimal core while `t_i` is strictly below every earlier
+    /// unfinished core's time and not above any later one's, and both
+    /// bounds are constant while only core `i`'s clock moves.
+    ///
+    /// `OBS` compiles in the per-access observation: the profiler clocks,
+    /// the gap-free `sched`/`core` span transitions (every cycle of the
+    /// loop is attributed to one of the two, none to `run`), and the audit
+    /// every `audit_every` records.
+    fn drain<const OBS: bool>(&mut self, target: u64, audit_every: Option<u64>) {
         let mut steps: u64 = 0;
-        // The loop alternates between two phase spans via gap-free
-        // transitions (one timer sample per boundary), so every cycle of
-        // the dispatch loop is attributed to either `sched` or `core` —
-        // nothing leaks into `run`'s self time.
         let mut phase = self.profiler.span(Component::Sched);
-        loop {
-            // Advance the core that is furthest behind in time, so cores
-            // interleave at the shared LLC and DRAM realistically.
-            let next = (0..self.cores.len())
-                .filter(|&i| self.cores[i].retired < target)
-                .min_by_key(|&i| self.cores[i].t);
-            match next {
-                Some(i) => {
+        let earliest = |cores: &[Core]| {
+            let live = cores.iter().filter(|c| c.retired < target);
+            live.map(|c| c.t).min().unwrap_or(u64::MAX)
+        };
+        while let Some(i) = (0..self.cores.len())
+            .filter(|&i| self.cores[i].retired < target)
+            .min_by_key(|&i| self.cores[i].t)
+        {
+            let (before, after) = (earliest(&self.cores[..i]), earliest(&self.cores[i + 1..]));
+            loop {
+                if OBS {
                     self.profiler.set_cycle(self.cores[i].t);
                     self.profiler.add_accesses(1);
                     phase = phase.transition(Component::Core);
-                    self.step::<true>(i);
+                }
+                self.step::<OBS>(i);
+                if OBS {
                     phase = phase.transition(Component::Sched);
-                }
-                None => break,
-            }
-            steps = steps.saturating_add(1);
-            if let Some(every) = audit_every {
-                if steps.is_multiple_of(every) {
-                    let _audit = self.profiler.span(Component::Audit);
-                    if let Err(e) = self.llc.audit() {
-                        panic!(
-                            "LLC '{}' corrupt after {steps} trace records: {e}",
-                            self.llc.name()
-                        );
+                    steps = steps.saturating_add(1);
+                    if audit_every.is_some_and(|every| steps.is_multiple_of(every)) {
+                        let _audit = self.profiler.span(Component::Audit);
+                        if let Err(e) = self.llc.audit() {
+                            panic!(
+                                "LLC '{}' corrupt after {steps} trace records: {e}",
+                                self.llc.name()
+                            );
+                        }
                     }
                 }
-            }
-        }
-        drop(phase);
-    }
-
-    /// The fused dispatch loop: picks the laggard core once, then drains
-    /// accesses from it for as long as the pick would not change, without
-    /// touching the (inert) probe/profiler handles.
-    ///
-    /// The scheduler's `min_by_key` in [`Self::run_instrumented`] selects
-    /// the *first* core with minimal time, so core `i` remains the pick
-    /// exactly while `t_i` stays strictly below every earlier unfinished
-    /// core's time and not above any later unfinished core's. Both bounds
-    /// are constants during a drain (only core `i`'s clock moves), so the
-    /// inner loop needs only two comparisons per access to reproduce the
-    /// per-access schedule exactly.
-    fn run_fused(&mut self, target: u64) {
-        loop {
-            let mut next: Option<(usize, u64)> = None;
-            for (i, c) in self.cores.iter().enumerate() {
-                if c.retired < target && next.is_none_or(|(_, t)| c.t < t) {
-                    next = Some((i, c.t));
-                }
-            }
-            let Some((i, _)) = next else { break };
-            // Bounds on core i's drain (see doc comment): strict for
-            // earlier cores, non-strict for later ones.
-            let mut before = u64::MAX;
-            let mut after = u64::MAX;
-            for (j, c) in self.cores.iter().enumerate() {
-                if j != i && c.retired < target {
-                    if j < i {
-                        before = before.min(c.t);
-                    } else {
-                        after = after.min(c.t);
-                    }
-                }
-            }
-            loop {
-                self.step::<false>(i);
                 let c = &self.cores[i];
                 if c.retired >= target || c.t >= before || c.t > after {
                     break;
                 }
             }
         }
+        drop(phase);
     }
 
     /// Pulls the next trace record for core `i` from its block buffer,
@@ -411,13 +379,10 @@ impl System {
     }
 
     /// Executes one trace record (gap instructions plus one memory access)
-    /// on core `i`. `OBS` gates the per-access probe/profiler calls: the
-    /// fused loop runs with `OBS = false` only when both handles are inert,
-    /// where every gated call is a behavioral no-op — so the two
-    /// instantiations produce identical transcripts.
+    /// on core `i`. `OBS` gates the per-access probe/profiler calls; the
+    /// loop runs with `OBS = false` only when both handles are inert, where
+    /// every gated call is a behavioral no-op.
     fn step<const OBS: bool>(&mut self, i: usize) {
-        // In the instrumented loop the caller has already advanced the
-        // profiler clocks and opened the `core` span for this step.
         let access = self.next_access(i);
         let line = access.addr >> 6;
         {
@@ -675,7 +640,7 @@ mod tests {
     use maya_core::{
         MayaCache, MayaConfig, MirageCache, MirageConfig, Policy, SetAssocCache, SetAssocConfig,
     };
-    use workloads::mixes::homogeneous;
+    use workloads::mixes::{hetero_mixes, homogeneous};
 
     fn small_cfg(cores: usize) -> SystemConfig {
         SystemConfig {
@@ -778,16 +743,21 @@ mod tests {
     #[test]
     fn checked_run_matches_unchecked_run_exactly() {
         // Auditing is read-only by contract; the checked mode must not
-        // perturb results.
+        // perturb results. Eight heterogeneous cores give the scheduler
+        // real choices, so this also pins the observed loop's schedule to
+        // the bare one.
         let build = || {
-            let cfg = small_cfg(1);
-            let llc = Box::new(MayaCache::new(MayaConfig::for_baseline_lines(32 * 1024, 7)));
-            System::new(cfg, llc, &homogeneous("xz", 1), 4)
+            let cfg = SystemConfig::eight_core_default().with_instructions(5_000, 15_000);
+            let llc = Box::new(MayaCache::new(MayaConfig::for_baseline_lines(
+                cfg.baseline_llc_lines(),
+                7,
+            )));
+            let mix = hetero_mixes().into_iter().nth(2).expect("mix M3");
+            System::new(cfg, llc, &mix, 4)
         };
         let a = build().run();
         let b = build().run_checked();
-        assert_eq!(a.cores[0], b.cores[0]);
-        assert_eq!(a.dram, b.dram);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

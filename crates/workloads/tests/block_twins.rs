@@ -1,7 +1,7 @@
 //! Batched-vs-per-access twin tests.
 //!
 //! `TraceGenerator::fill_block` must be indistinguishable from calling
-//! `next_access` in a loop — the simulator's fused dispatch loop relies on
+//! `next_access` in a loop — the simulator's dispatch loop relies on
 //! it, and the layout-equivalence fixtures assume it. These twins cover one
 //! benchmark per generator family (streaming, pointer-chasing, reuse,
 //! phased, graph-like), odd block-boundary sizes, and a property test over

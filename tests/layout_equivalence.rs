@@ -29,13 +29,11 @@ use maya_bench::designs::Design;
 // lint:allow(arch/dep-graph) root-package twin test: pins sweep transcripts at --jobs 1 vs 2, which requires driving the scheduler directly
 use maya_bench::sched::{self, RunOpts};
 use maya_bench::Scale;
-use maya_repro::champsim_lite::{System, SystemConfig};
+use maya_repro::champsim_lite::{RunResult, System, SystemConfig};
 use maya_repro::maya_core::{
     CacheModel, DomainId, MayaCache, MayaConfig, MirageCache, MirageConfig, Request,
 };
-use maya_repro::maya_obs::{
-    Event, Probe, ProbeHandle, ProfileHandle, SpanProfiler, SpanStats, SpanTree,
-};
+use maya_repro::maya_obs::{Event, Probe, ProbeHandle, ProfileHandle, SpanProfiler, SpanStats};
 use maya_repro::workloads::mixes::hetero_mixes;
 
 /// Baseline-equivalent capacity: small enough for debug runs, large enough
@@ -63,6 +61,12 @@ struct Fnv(u64);
 impl Fnv {
     fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn of(s: &str) -> u64 {
+        let mut h = Fnv::new();
+        h.write(s.as_bytes());
+        h.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -271,11 +275,27 @@ fn sweep_transcripts_match_committed_fixtures() {
     }
 }
 
-/// One 8-core heterogeneous run (Table VI mix M3) on Maya, observed three
-/// ways: the bare `RunResult`, the probe event stream, and the span tree's
-/// deterministic self counts, cycles and accesses. A checked run's span
-/// tree also pins where the periodic audits fall. Together they pin the
-/// multi-core schedule of both the bare and the observed dispatch paths.
+/// Attaches a span profiler to `sys`, runs it with `run`, and returns the
+/// rendered result with the span tree's self counts, cycles and accesses.
+fn profiled(mut sys: System, run: fn(&mut System) -> RunResult) -> (String, String) {
+    let (handle, prof) = ProfileHandle::of(SpanProfiler::new());
+    sys.set_profiler(handle);
+    let result = format!("{:?}", run(&mut sys));
+    let tree = prof.borrow().tree();
+    let h = |pick: fn(&SpanStats) -> u64| Fnv::of(&tree.collapsed(pick));
+    let spans = format!(
+        "count={:016x} cycles={:016x} accesses={:016x}",
+        h(|s| s.count),
+        h(|s| s.cycles),
+        h(|s| s.accesses)
+    );
+    (result, spans)
+}
+
+/// One 8-core heterogeneous run (Table VI mix M3) on Maya: the bare
+/// `RunResult`, the probe event stream, and the span trees of a plain and
+/// a checked run (which pins where the periodic audits fall). Together
+/// they pin the multi-core schedule of the bare and the observed runs.
 #[test]
 fn system_run_matches_committed_fixture() {
     let cfg = SystemConfig::eight_core_default().with_instructions(10_000, 30_000);
@@ -284,64 +304,25 @@ fn system_run_matches_committed_fixture() {
         let llc = Design::Maya.build(cfg.baseline_llc_lines(), SEED);
         System::new(cfg.clone(), llc, &mix, SEED)
     };
-    let hash = |s: &str| {
-        let mut h = Fnv::new();
-        h.write(s.as_bytes());
-        h.0
-    };
-    let bare = build().run();
-
+    let bare = format!("{:?}", build().run());
     let mut sys = build();
-    let (handle, rc) = ProbeHandle::of(HashingProbe {
+    let (handle, probe) = ProbeHandle::of(HashingProbe {
         hash: Fnv::new(),
         events: 0,
     });
     sys.set_probe(handle);
-    let probed = sys.run();
-    let probe = rc.borrow();
-
-    let mut sys = build();
-    let (handle, prof) = ProfileHandle::of(SpanProfiler::new());
-    sys.set_profiler(handle);
-    let profiled = sys.run();
-    let tree = prof.borrow().tree();
-
-    let mut sys = build();
-    let (handle, prof) = ProfileHandle::of(SpanProfiler::new());
-    sys.set_profiler(handle);
-    let checked = sys.run_checked();
-    let checked_tree = prof.borrow().tree();
-    let spans = |t: &SpanTree| {
-        let h = |pick: fn(&SpanStats) -> u64| hash(&t.collapsed(pick));
-        format!(
-            "count={:016x} cycles={:016x} accesses={:016x}",
-            h(|s| s.count),
-            h(|s| s.cycles),
-            h(|s| s.accesses)
-        )
-    };
-
-    let bare = format!("{bare:?}");
-    assert_eq!(bare, format!("{probed:?}"), "probe changed the system run");
-    assert_eq!(
-        bare,
-        format!("{profiled:?}"),
-        "profiler changed the system run"
-    );
-    assert_eq!(
-        bare,
-        format!("{checked:?}"),
-        "auditing changed the system run"
-    );
+    assert_eq!(bare, format!("{:?}", sys.run()), "probe changed the run");
+    let (plain, spans) = profiled(build(), System::run);
+    let (checked, checked_spans) = profiled(build(), System::run_checked);
+    assert_eq!(bare, plain, "profiler changed the run");
+    assert_eq!(bare, checked, "auditing changed the run");
+    let p = probe.borrow();
     let out = format!(
         "m3-maya result={:016x} events={:016x} n_events={}\n\
-         m3-maya spans {}\n\
-         m3-maya checked spans {}\n",
-        hash(&bare),
-        probe.hash.0,
-        probe.events,
-        spans(&tree),
-        spans(&checked_tree),
+         m3-maya spans {spans}\nm3-maya checked spans {checked_spans}\n",
+        Fnv::of(&bare),
+        p.hash.0,
+        p.events,
     );
     compare_or_update("system_run.txt", &out);
 }
