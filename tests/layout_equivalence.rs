@@ -13,7 +13,10 @@
 //!   and `--jobs 2`,
 //! * one 8-core **system run**: bare, through a probe, and through the
 //!   span profiler with and without periodic audits (which pins the
-//!   dispatch loop's schedule and its `sched`/`core`/`audit` spans).
+//!   dispatch loop's schedule and its `sched`/`core`/`audit` spans),
+//! * the SAE-prone designs (CEASER, CEASER-S, ScatterCache, Threshold) at
+//!   a size where they re-key, record SAEs and evict globally, followed by
+//!   one injection of every fault kind and its audit/quarantine outcome.
 //!
 //! The streams are compared via FNV-1a-64 over their exact bytes, so a
 //! match here *is* byte-identity with the pre-refactor build. Regenerate
@@ -31,10 +34,13 @@ use maya_bench::sched::{self, RunOpts};
 use maya_bench::Scale;
 use maya_repro::champsim_lite::{RunResult, System, SystemConfig};
 use maya_repro::maya_core::{
-    CacheModel, DomainId, MayaCache, MayaConfig, MirageCache, MirageConfig, Request,
+    CacheModel, CeaserCache, CeaserConfig, DomainId, FaultKind, MayaCache, MayaConfig, MirageCache,
+    MirageConfig, Request, ScatterCache, ScatterConfig, ThresholdCache, ThresholdConfig,
 };
 use maya_repro::maya_obs::{Event, Probe, ProbeHandle, ProfileHandle, SpanProfiler, SpanStats};
 use maya_repro::workloads::mixes::hetero_mixes;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// Baseline-equivalent capacity: small enough for debug runs, large enough
 /// that the workload below forces evictions in every design.
@@ -325,4 +331,54 @@ fn system_run_matches_committed_fixture() {
         p.events,
     );
     compare_or_update("system_run.txt", &out);
+}
+
+/// The SAE-prone line-array path of one design: the mixed drive on a
+/// small cache, then each fault kind injected into a clone of the driven
+/// cache with the description, audit verdict, quarantine count and
+/// post-quarantine verdict it produces.
+fn sae_fingerprint<C: CacheModel + Clone>(id: &str, mut c: C) -> String {
+    let mut out = fingerprint(id, &mut c);
+    out.push('\n');
+    c.audit()
+        .unwrap_or_else(|e| panic!("{id}: audit after drive: {e}"));
+    c.set_probe(ProbeHandle::none());
+    for kind in FaultKind::ALL {
+        let mut f = c.clone();
+        let desc = f.inject_fault(kind, &mut SmallRng::seed_from_u64(SEED));
+        let audit = f.audit();
+        let repaired = f.quarantine();
+        let after = f.audit();
+        let _ = writeln!(
+            out,
+            "{id} fault={} desc={desc:?} audit={audit:?} quarantine={repaired} after={after:?}",
+            kind.name()
+        );
+    }
+    out
+}
+
+/// CEASER/CEASER-S with a short remap period (so the drive crosses many
+/// re-keys), ScatterCache and Threshold at 1024 lines (so every fill
+/// contends and Threshold evicts globally), each followed by a fault round.
+#[test]
+fn sae_designs_match_committed_fixture() {
+    let mut out = String::new();
+    out.push_str(&sae_fingerprint(
+        "ceaser",
+        CeaserCache::new(CeaserConfig::ceaser(1024, 1_000, SEED)),
+    ));
+    out.push_str(&sae_fingerprint(
+        "ceaser-s",
+        CeaserCache::new(CeaserConfig::ceaser_s(1024, 1_000, SEED)),
+    ));
+    out.push_str(&sae_fingerprint(
+        "scatter",
+        ScatterCache::new(ScatterConfig::for_lines(1024, SEED)),
+    ));
+    out.push_str(&sae_fingerprint(
+        "threshold",
+        ThresholdCache::new(ThresholdConfig::paper_discussion(1024, SEED)),
+    ));
+    compare_or_update("sae_designs.txt", &out);
 }
