@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use maya_obs::{EventKind, EvictionCause, ProbeHandle};
 
-use crate::cache::{CacheModel, FaultKind};
+use crate::cache::{stuck_tag_bit, CacheModel, FaultKind};
 use crate::replacement::{Policy, ReplacementState};
 use crate::storage::{meta, TagArena};
 use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
@@ -458,21 +458,12 @@ impl CacheModel for SetAssocCache {
                 let tag = self.lines.tag(i);
                 let domain = self.domain_of(i);
                 let set = i / self.config.ways;
-                let start = rng.gen_range(0..48u32);
-                // Pick a stuck-at bit that moves the line out of its home
-                // set; a flip mapping back is undetectable by construction.
-                for off in 0..48u32 {
-                    let bit = (start + off) % 48;
-                    let flipped = tag ^ (1u64 << bit);
-                    if self.set_of(flipped, domain) != set {
-                        // `set_tag` keeps the key lane's filter byte coherent
-                        // with the corrupted tag, preserving the lookup
-                        // semantics of a full-width tag compare.
-                        self.lines.set_tag(i, flipped);
-                        return Some(format!("line {i}: tag bit {bit} stuck"));
-                    }
-                }
-                None
+                let (flipped, bit) = stuck_tag_bit(tag, rng, |t| self.set_of(t, domain) == set)?;
+                // `set_tag` keeps the key lane's filter byte coherent with
+                // the corrupted tag, preserving the lookup semantics of a
+                // full-width tag compare.
+                self.lines.set_tag(i, flipped);
+                Some(format!("line {i}: tag bit {bit} stuck"))
             }
         }
     }

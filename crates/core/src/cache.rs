@@ -5,6 +5,7 @@
 use crate::types::{CacheStats, DomainId, Request, Response};
 use maya_obs::{ProbeHandle, ProfileHandle};
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// A class of single-event fault that can be injected into a cache model's
 /// tag/metadata arrays (see `maya-fault`). Each kind corrupts one structural
@@ -57,6 +58,23 @@ impl FaultKind {
             FaultKind::InterruptedRekey => "interrupted_rekey",
         }
     }
+}
+
+/// Picks the stuck-at bit of a [`FaultKind::TagBit`] fault: starting at a
+/// random one of the 48 tag bits, the first bit whose flip moves `tag` out
+/// of its home set (a flip for which `stays_home` holds is undetectable by
+/// construction, so it models no stress). Returns the corrupted tag and
+/// the bit, or `None` when every flip stays home.
+pub(crate) fn stuck_tag_bit(
+    tag: u64,
+    rng: &mut SmallRng,
+    stays_home: impl Fn(u64) -> bool,
+) -> Option<(u64, u32)> {
+    let start = rng.gen_range(0..48u32);
+    (0..48u32)
+        .map(|off| (start + off) % 48)
+        .map(|bit| (tag ^ (1u64 << bit), bit))
+        .find(|&(flipped, _)| !stays_home(flipped))
 }
 
 /// A last-level-cache model.

@@ -36,6 +36,7 @@ mod mirage;
 pub mod partitioned;
 mod replacement;
 mod scatter;
+mod skewed;
 pub mod storage;
 mod threshold;
 mod types;

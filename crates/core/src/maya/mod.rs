@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use maya_obs::{Component, EventKind, EvictionCause, ProbeHandle, ProfileHandle};
 use prince_cipher::{IndexFunction, DEFAULT_MEMO_SLOTS, MAX_SKEWS};
 
-use crate::cache::{CacheModel, FaultKind};
+use crate::cache::{stuck_tag_bit, CacheModel, FaultKind};
 use crate::mirage::SkewSelection;
 use crate::storage::{key, meta, TagArena, NONE};
 use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
@@ -879,22 +879,14 @@ impl CacheModel for MayaCache {
                     return None;
                 };
                 let (skew, set) = self.home_of(i);
-                let start = rng.gen_range(0..48u32);
-                // Pick a stuck-at bit that actually moves the entry out of
-                // its home set (a flip that hashes back to the same set is
-                // undetectable by construction, so it models no stress).
-                for off in 0..48u32 {
-                    let bit = (start + off) % 48;
-                    let flipped = self.arena.tag(i) ^ (1u64 << bit);
-                    if self.index.set_index(skew, flipped) != set {
-                        // `set_tag` keeps the key lane's filter byte coherent
-                        // with the corrupted tag, preserving the lookup
-                        // semantics of a full-width tag compare.
-                        self.arena.set_tag(i, flipped);
-                        return Some(format!("tag {i}: tag bit {bit} stuck"));
-                    }
-                }
-                None
+                let (flipped, bit) = stuck_tag_bit(self.arena.tag(i), rng, |t| {
+                    self.index.set_index(skew, t) == set
+                })?;
+                // `set_tag` keeps the key lane's filter byte coherent with
+                // the corrupted tag, preserving the lookup semantics of a
+                // full-width tag compare.
+                self.arena.set_tag(i, flipped);
+                Some(format!("tag {i}: tag bit {bit} stuck"))
             }
             FaultKind::InterruptedRekey => {
                 // A power cut mid-rekey: skew 0 was already wiped for the

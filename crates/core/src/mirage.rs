@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use maya_obs::{Component, EventKind, EvictionCause, ProbeHandle, ProfileHandle};
 use prince_cipher::{IndexFunction, DEFAULT_MEMO_SLOTS, MAX_SKEWS};
 
-use crate::cache::{CacheModel, FaultKind};
+use crate::cache::{stuck_tag_bit, CacheModel, FaultKind};
 use crate::storage::{meta, TagArena, NONE};
 use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
 
@@ -582,22 +582,14 @@ impl CacheModel for MirageCache {
                 let d = self.arena.allocated[rng.gen_range(0..self.arena.allocated.len())];
                 let i = self.arena.rptr(d as usize) as usize;
                 let (skew, set) = self.home_of(i);
-                let start = rng.gen_range(0..48u32);
-                // Pick a stuck-at bit that actually moves the entry out of
-                // its home set; a flip hashing back to the same set would be
-                // undetectable by construction.
-                for off in 0..48u32 {
-                    let bit = (start + off) % 48;
-                    let flipped = self.arena.tag(i) ^ (1u64 << bit);
-                    if self.index.set_index(skew, flipped) != set {
-                        // `set_tag` keeps the key lane's filter byte coherent
-                        // with the corrupted tag, preserving the lookup
-                        // semantics of a full-width tag compare.
-                        self.arena.set_tag(i, flipped);
-                        return Some(format!("tag {i}: tag bit {bit} stuck"));
-                    }
-                }
-                None
+                let (flipped, bit) = stuck_tag_bit(self.arena.tag(i), rng, |t| {
+                    self.index.set_index(skew, t) == set
+                })?;
+                // `set_tag` keeps the key lane's filter byte coherent with
+                // the corrupted tag, preserving the lookup semantics of a
+                // full-width tag compare.
+                self.arena.set_tag(i, flipped);
+                Some(format!("tag {i}: tag bit {bit} stuck"))
             }
             FaultKind::InterruptedRekey => {
                 // Power cut mid-rekey: skew 0 already wiped for the new key,

@@ -15,11 +15,12 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use maya_obs::{EventKind, EvictionCause, ProbeHandle};
-use prince_cipher::{IndexFunction, DEFAULT_MEMO_SLOTS, MAX_SKEWS};
+use maya_obs::{EvictionCause, ProbeHandle};
+use prince_cipher::{IndexFunction, DEFAULT_MEMO_SLOTS};
 
 use crate::cache::{CacheModel, FaultKind};
-use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
+use crate::skewed::{data_hit, LineArray, Rows};
+use crate::types::{CacheStats, DomainId, Request, Response, Writebacks};
 
 /// Configuration of a [`ScatterCache`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,15 +45,6 @@ impl ScatterConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    sdid: DomainId,
-    dirty: bool,
-    reused: bool,
-}
-
 /// The ScatterCache model.
 ///
 /// # Examples
@@ -67,11 +59,8 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct ScatterCache {
     config: ScatterConfig,
-    index: IndexFunction,
-    lines: Vec<Line>,
-    stats: CacheStats,
+    arr: LineArray,
     rng: SmallRng,
-    probe: ProbeHandle,
 }
 
 impl ScatterCache {
@@ -87,12 +76,13 @@ impl ScatterCache {
             // One "skew" per way: each way's slot comes from its own keyed
             // index function (SCv1 with the SDID folded into the key would
             // add per-domain scattering; tag+SDID matching models it).
-            index: IndexFunction::from_seed(config.seed, config.ways, config.sets)
-                .with_memo(DEFAULT_MEMO_SLOTS),
-            lines: vec![Line::default(); config.sets * config.ways],
-            stats: CacheStats::default(),
+            arr: LineArray::new(
+                Rows::PerWay,
+                config.ways,
+                IndexFunction::from_seed(config.seed, config.ways, config.sets)
+                    .with_memo(DEFAULT_MEMO_SLOTS),
+            ),
             rng: SmallRng::seed_from_u64(config.seed ^ 0x05ca_77e2),
-            probe: ProbeHandle::none(),
             config,
         }
     }
@@ -102,151 +92,57 @@ impl ScatterCache {
         &self.config
     }
 
+    /// The one slot `line` may occupy in `way`.
     #[inline]
     fn slot(&self, way: usize, line: u64) -> usize {
-        self.index.set_index(way, line) * self.config.ways + way
-    }
-
-    fn find(&self, line: u64, domain: DomainId) -> Option<usize> {
-        let mut sets_buf = [0usize; MAX_SKEWS];
-        let sets = &mut sets_buf[..self.config.ways];
-        self.index.set_indices_into(line, sets);
-        sets.iter()
-            .enumerate()
-            .map(|(w, &s)| s * self.config.ways + w)
-            .find(|&i| {
-                self.lines[i].valid && self.lines[i].tag == line && self.lines[i].sdid == domain
-            })
+        self.arr
+            .slots(way, self.arr.index.set_index(way, line))
+            .start
     }
 }
 
 impl CacheModel for ScatterCache {
     fn access(&mut self, req: Request) -> Response {
-        match req.kind {
-            AccessKind::Read | AccessKind::Prefetch => self.stats.reads += 1,
-            AccessKind::Writeback => self.stats.writebacks_in += 1,
+        if self.arr.lookup(req).is_some() {
+            return data_hit();
         }
-        let mut wb = Writebacks::none();
-        if let Some(i) = self.find(req.line, req.domain) {
-            match req.kind {
-                AccessKind::Read => self.lines[i].reused = true,
-                AccessKind::Writeback => self.lines[i].dirty = true,
-                AccessKind::Prefetch => {}
-            }
-            self.stats.data_hits += 1;
-            let line = req.line;
-            self.probe.emit_with(|| EventKind::Hit { line });
-            return Response {
-                event: AccessEvent::DataHit,
-                writebacks: wb,
-                sae: false,
-            };
-        }
-        self.stats.tag_misses += 1;
-        let line = req.line;
-        self.probe.emit_with(|| EventKind::Miss { line });
         // Prefer an invalid candidate slot; otherwise evict the occupant of
         // a uniformly random way's slot — an address-correlated eviction,
         // i.e. an SAE.
-        let invalid = (0..self.config.ways)
+        let mut wb = Writebacks::none();
+        let free = (0..self.config.ways)
             .map(|w| self.slot(w, req.line))
-            .find(|&i| !self.lines[i].valid);
-        let mut sae = false;
-        let idx = match invalid {
-            Some(i) => i,
+            .find(|&i| !self.arr.live(i));
+        let (i, sae) = match free {
+            Some(i) => (i, false),
             None => {
                 let way = self.rng.gen_range(0..self.config.ways);
                 let i = self.slot(way, req.line);
-                let victim = self.lines[i];
-                if victim.dirty {
-                    self.stats.writebacks_out += 1;
-                    wb.push(victim.tag);
-                }
-                if victim.reused {
-                    self.stats.reused_evictions += 1;
-                } else {
-                    self.stats.dead_evictions += 1;
-                }
-                if victim.sdid != req.domain {
-                    self.stats.cross_domain_evictions += 1;
-                }
-                self.stats.saes += 1;
-                sae = true;
-                self.probe.emit_with(|| EventKind::Eviction {
-                    line: victim.tag,
-                    cause: EvictionCause::Sae,
-                    had_data: true,
-                    dirty: victim.dirty,
-                    reused: victim.reused,
-                    downgraded: false,
-                    skew: way as u8,
-                });
-                i
+                self.arr.evict(i, req.domain, &mut wb, EvictionCause::Sae);
+                (i, true)
             }
         };
-        self.lines[idx] = Line {
-            valid: true,
-            tag: req.line,
-            sdid: req.domain,
-            dirty: req.kind == AccessKind::Writeback,
-            reused: false,
-        };
-        self.stats.tag_fills += 1;
-        self.stats.data_fills += 1;
-        let fill_way = (idx % self.config.ways) as u8;
-        self.probe.emit_with(|| EventKind::Fill {
-            line,
-            tag_only: false,
-            skew: fill_way,
-        });
-        Response {
-            event: AccessEvent::Miss,
-            writebacks: wb,
-            sae,
-        }
+        self.arr.fill(i, req, wb, sae)
     }
 
     fn flush_line(&mut self, line: u64, domain: DomainId) -> bool {
-        if let Some(i) = self.find(line, domain) {
-            let victim = self.lines[i];
-            if victim.dirty {
-                self.stats.writebacks_out += 1;
-            }
-            self.lines[i].valid = false;
-            self.stats.flushes += 1;
-            let way = (i % self.config.ways) as u8;
-            self.probe.emit_with(|| EventKind::Eviction {
-                line: victim.tag,
-                cause: EvictionCause::Flush,
-                had_data: true,
-                dirty: victim.dirty,
-                reused: victim.reused,
-                downgraded: false,
-                skew: way,
-            });
-            true
-        } else {
-            false
-        }
+        self.arr.flush_line(line, domain).is_some()
     }
 
     fn flush_all(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
-        }
-        self.probe.emit(EventKind::FlushAll);
+        self.arr.flush_all();
     }
 
     fn probe(&self, line: u64, domain: DomainId) -> bool {
-        self.find(line, domain).is_some()
+        self.arr.find(line, domain).is_some()
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.stats
+        &self.arr.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.arr.stats.reset();
     }
 
     fn extra_latency(&self) -> u32 {
@@ -263,108 +159,34 @@ impl CacheModel for ScatterCache {
     }
 
     fn set_probe(&mut self, probe: ProbeHandle) {
-        self.probe = probe;
+        self.arr.probe = probe;
     }
 
     fn audit(&self) -> Result<(), String> {
         // Every valid line must occupy the one slot its way's index
         // function maps it to, and no (tag, sdid) pair may be resident
-        // twice (find() would serve whichever it meets first).
-        let mut seen: Vec<(u64, DomainId)> = Vec::new();
-        for (i, l) in self.lines.iter().enumerate() {
-            if !l.valid {
-                continue;
-            }
-            let way = i % self.config.ways;
-            let set = i / self.config.ways;
-            let home = self.index.set_index(way, l.tag);
-            if home != set {
-                return Err(format!(
-                    "way {way} set {set}: tag {:#x} hashes to set {home}",
-                    l.tag
-                ));
-            }
-            seen.push((l.tag, l.sdid));
-        }
-        seen.sort_unstable();
-        for pair in seen.windows(2) {
-            if pair[0] == pair[1] {
-                let (tag, domain) = pair[0];
-                return Err(format!(
-                    "duplicate resident line: tag {tag:#x} (domain {}) in two ways",
-                    domain.0
-                ));
-            }
-        }
-        Ok(())
+        // twice.
+        self.arr.audit(|way, set, tag, home| {
+            format!("way {way} set {set}: tag {tag:#x} hashes to set {home}")
+        })
     }
 
     fn inject_fault(&mut self, kind: FaultKind, rng: &mut SmallRng) -> Option<String> {
-        let valid: Vec<usize> = (0..self.lines.len())
-            .filter(|&i| self.lines[i].valid)
-            .collect();
-        if valid.is_empty() {
-            return None;
-        }
-        match kind {
-            // No priority states, no pointers, and a fixed key: nothing to
-            // flip, chase, or interrupt.
-            FaultKind::PriorityFlip | FaultKind::PointerCorrupt | FaultKind::InterruptedRekey => {
-                None
-            }
-            FaultKind::ValidDrop => {
-                let i = valid[rng.gen_range(0..valid.len())];
-                self.lines[i].valid = false;
-                Some(format!("slot {i}: valid bit dropped"))
-            }
-            FaultKind::DirtyFlip => {
-                let i = valid[rng.gen_range(0..valid.len())];
-                self.lines[i].dirty = !self.lines[i].dirty;
-                Some(format!("slot {i}: dirty bit flipped"))
-            }
-            FaultKind::TagBit => {
-                let i = valid[rng.gen_range(0..valid.len())];
-                let way = i % self.config.ways;
-                let set = i / self.config.ways;
-                let start = rng.gen_range(0..48u32);
-                for off in 0..48u32 {
-                    let bit = (start + off) % 48;
-                    let flipped = self.lines[i].tag ^ (1u64 << bit);
-                    if self.index.set_index(way, flipped) != set {
-                        self.lines[i].tag = flipped;
-                        return Some(format!("slot {i}: tag bit {bit} stuck"));
-                    }
-                }
-                None
-            }
-        }
+        // No priority states, no pointers, and a fixed key: nothing to
+        // flip, chase, or interrupt beyond the line itself.
+        self.arr.inject(kind, rng)
     }
 
     fn quarantine(&mut self) -> u64 {
-        let mut repaired = 0u64;
-        let mut seen: Vec<(u64, DomainId)> = Vec::new();
-        for i in 0..self.lines.len() {
-            let l = self.lines[i];
-            if !l.valid {
-                continue;
-            }
-            let way = i % self.config.ways;
-            let set = i / self.config.ways;
-            if self.index.set_index(way, l.tag) != set || seen.contains(&(l.tag, l.sdid)) {
-                // Mis-homed or duplicated: unreachable by lookup, drop it.
-                self.lines[i].valid = false;
-                repaired += 1;
-            } else {
-                seen.push((l.tag, l.sdid));
-            }
-        }
-        repaired
+        // Mis-homed or duplicated lines are unreachable by lookup: drop them.
+        self.arr.quarantine()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::AccessEvent;
 
     fn small() -> ScatterCache {
         ScatterCache::new(ScatterConfig {
