@@ -6,12 +6,12 @@ use attacks::flush::flush_reload_leaks;
 use attacks::occupancy::{encryptions_to_distinguish, OccupancyAttack};
 use attacks::victims::{AesVictim, ModExpVictim, Victim};
 use maya_core::{
-    CacheModel, CeaserCache, CeaserConfig, FullyAssocCache, MayaCache, MayaConfig, MirageCache,
-    MirageConfig, Policy, ScatterCache, ScatterConfig, SetAssocCache, SetAssocConfig,
-    ThresholdCache, ThresholdConfig,
+    CacheModel, FullyAssocCache, MayaCache, MayaConfig, MirageCache, MirageConfig, Policy,
+    SetAssocCache, SetAssocConfig,
 };
 use maya_core::{DomainId, Request};
 
+use crate::designs::Design;
 use crate::sched::{CellOut, Sweep};
 use crate::Scale;
 
@@ -161,7 +161,8 @@ pub fn demo_eviction() -> Sweep {
 /// randomized-LLC lineage under a worst-case fill storm. CEASER,
 /// CEASER-S, and ScatterCache perform an address-correlated eviction on
 /// every conflict — their security rests on re-keying faster than
-/// eviction-set construction — while Mirage and Maya record none at all.
+/// eviction-set construction — the 75%-capped Threshold design still
+/// spills, and Mirage and Maya record none at all.
 pub fn demo_randomized_lineage() -> Sweep {
     let mut sw = Sweep::new(
         "demo-randomized",
@@ -170,26 +171,17 @@ pub fn demo_randomized_lineage() -> Sweep {
     );
     let lines = 64 * 1024;
     let fills: u64 = 1_000_000;
-    let kinds = [
-        "ceaser",
-        "ceaser-s",
-        "scatter",
-        "threshold",
-        "mirage",
-        "maya",
+    let designs = [
+        Design::Ceaser,
+        Design::CeaserS,
+        Design::Scatter,
+        Design::Threshold,
+        Design::Mirage,
+        Design::Maya,
     ];
-    for kind in kinds {
-        sw.job(kind, "fill-storm", 0, Scale::quick(), move || {
-            let mut cache: Box<dyn CacheModel> = match kind {
-                "ceaser" => Box::new(CeaserCache::new(CeaserConfig::ceaser(lines, 100_000, 3))),
-                "ceaser-s" => Box::new(CeaserCache::new(CeaserConfig::ceaser_s(lines, 100_000, 3))),
-                "scatter" => Box::new(ScatterCache::new(ScatterConfig::for_lines(lines, 3))),
-                "threshold" => Box::new(ThresholdCache::new(ThresholdConfig::paper_discussion(
-                    lines, 3,
-                ))),
-                "mirage" => Box::new(MirageCache::new(MirageConfig::for_data_entries(lines, 3))),
-                _ => Box::new(MayaCache::new(MayaConfig::for_baseline_lines(lines, 3))),
-            };
+    for d in designs {
+        sw.job(d.id(), "fill-storm", 0, Scale::quick(), move || {
+            let mut cache = d.build(lines, 3);
             for i in 0..fills {
                 // Alternate demand and writeback misses: the worst case of the
                 // security analysis (every access a miss).
