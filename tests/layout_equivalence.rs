@@ -16,7 +16,9 @@
 //!   dispatch loop's schedule and its `sched`/`core`/`audit` spans),
 //! * the SAE-prone designs (CEASER, CEASER-S, ScatterCache, Threshold) at
 //!   a size where they re-key, record SAEs and evict globally, followed by
-//!   one injection of every fault kind and its audit/quarantine outcome.
+//!   one injection of every fault kind and its audit/quarantine outcome,
+//! * the decoupled designs (Maya, Mirage) the same way, at sizes where
+//!   their global evictions and SAE paths run.
 //!
 //! The streams are compared via FNV-1a-64 over their exact bytes, so a
 //! match here *is* byte-identity with the pre-refactor build. Regenerate
@@ -35,7 +37,8 @@ use maya_bench::Scale;
 use maya_repro::champsim_lite::{RunResult, System, SystemConfig};
 use maya_repro::maya_core::{
     CacheModel, CeaserCache, CeaserConfig, DomainId, FaultKind, MayaCache, MayaConfig, MirageCache,
-    MirageConfig, Request, ScatterCache, ScatterConfig, ThresholdCache, ThresholdConfig,
+    MirageConfig, Request, ScatterCache, ScatterConfig, SkewSelection, ThresholdCache,
+    ThresholdConfig,
 };
 use maya_repro::maya_obs::{Event, Probe, ProbeHandle, ProfileHandle, SpanProfiler, SpanStats};
 use maya_repro::workloads::mixes::hetero_mixes;
@@ -381,4 +384,37 @@ fn sae_designs_match_committed_fixture() {
         ThresholdCache::new(ThresholdConfig::paper_discussion(1024, SEED)),
     ));
     compare_or_update("sae_designs.txt", &out);
+}
+
+/// Maya and Mirage on small caches, load-aware and random skew selection:
+/// the drive reaches both global evictions (Maya's data and tag, Mirage's
+/// data) and the SAE paths (Maya's priority-0 victim pick, Mirage's random
+/// way), and the fault round hits every injection arm of both designs.
+#[test]
+fn decoupled_designs_match_committed_fixture() {
+    let random = |c: MayaConfig| MayaConfig {
+        skew_selection: SkewSelection::Random,
+        ..c
+    };
+    let mut out = String::new();
+    out.push_str(&sae_fingerprint(
+        "maya",
+        MayaCache::new(MayaConfig::with_sets(32, SEED)),
+    ));
+    out.push_str(&sae_fingerprint(
+        "maya-random",
+        MayaCache::new(random(MayaConfig::with_sets(32, SEED))),
+    ));
+    out.push_str(&sae_fingerprint(
+        "mirage",
+        MirageCache::new(MirageConfig::for_data_entries(1024, SEED)),
+    ));
+    out.push_str(&sae_fingerprint(
+        "mirage-random",
+        MirageCache::new(MirageConfig {
+            skew_selection: SkewSelection::Random,
+            ..MirageConfig::for_data_entries(1024, SEED)
+        }),
+    ));
+    compare_or_update("decoupled_designs.txt", &out);
 }
