@@ -30,6 +30,7 @@ mod baseline;
 mod cache;
 mod ceaser;
 pub mod coherence;
+mod decoupled;
 mod fullassoc;
 pub mod maya;
 mod mirage;

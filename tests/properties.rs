@@ -48,7 +48,7 @@ proptest! {
         for r in &reqs {
             c.access(*r);
         }
-        c.validate();
+        c.audit().expect("MayaCache invariant violated");
     }
 
     /// A demand read immediately after any traffic: either it hits (tag was
@@ -69,7 +69,7 @@ proptest! {
         c.access(Request::read(line, d));
         let r = c.access(Request::read(line, d));
         prop_assert_eq!(r.event, AccessEvent::DataHit);
-        c.validate();
+        c.audit().expect("MayaCache invariant violated");
     }
 
     /// Mirage keeps exactly `capacity` lines once warm, regardless of the
@@ -167,13 +167,18 @@ proptest! {
     }
 
     /// Writebacks of dirty lines are conserved: every dirty line that
-    /// leaves the Maya cache is reported exactly once (no lost writebacks)
-    /// in a closed workload.
+    /// leaves the Maya or Mirage cache is reported exactly once (no lost
+    /// writebacks) in a closed workload.
     #[test]
     fn dirty_lines_are_never_silently_dropped(
         lines in proptest::collection::vec(0u64..512, 1..300),
+        mirage in any::<bool>(),
     ) {
-        let mut c = MayaCache::new(MayaConfig::with_sets(32, 5));
+        let mut c: Box<dyn CacheModel> = if mirage {
+            Box::new(MirageCache::new(MirageConfig::for_data_entries(256, 5)))
+        } else {
+            Box::new(MayaCache::new(MayaConfig::with_sets(32, 5)))
+        };
         let d = DomainId(0);
         let mut dirty = std::collections::HashSet::new();
         let mut written_back = 0u64;

@@ -61,7 +61,7 @@ fn real_cache_occupancies_match_the_balls_model() {
     let avg = (p0 + p1) as f64 / buckets as f64;
     assert!((avg - 9.0).abs() < 1e-9, "avg load {avg}");
     assert_eq!(cache.stats().saes, 0);
-    cache.validate();
+    cache.audit().expect("MayaCache invariant violated");
 }
 
 /// Security degrades monotonically along every axis the paper sweeps:
