@@ -43,6 +43,31 @@ pub(crate) struct DecoupledStore {
     pub(crate) profiler: ProfileHandle,
 }
 
+/// One line's candidate set per skew, derived at most once per access.
+///
+/// The caller keeps it on its stack: the lookup derives the sets into it
+/// and a fill after a miss reads them back, instead of deriving them again.
+/// The buffer is written only when derived, so a lookup the presence
+/// filter answers costs no stores to it.
+pub(crate) struct CandidateSets {
+    line: u64,
+    sets: Option<[usize; MAX_SKEWS]>,
+}
+
+impl CandidateSets {
+    /// Not yet derived candidate sets of `line`.
+    #[inline]
+    pub(crate) fn new(line: u64) -> Self {
+        Self { line, sets: None }
+    }
+
+    /// The line whose candidate sets these are.
+    #[inline]
+    pub(crate) fn line(&self) -> u64 {
+        self.line
+    }
+}
+
 /// A uniformly random allocated data slot and the tag its reverse pointer
 /// names, drawn from `rng`. Panics when nothing is allocated.
 fn draw_allocated(arena: &TagArena, rng: &mut SmallRng) -> (u32, usize) {
@@ -145,27 +170,38 @@ impl DecoupledStore {
         self.arena.meta(i) & meta::REUSED != 0
     }
 
-    /// Writes the candidate set of `line` in each skew into `sets` (one
-    /// slot per skew).
+    /// `c`'s line's candidate set in each skew (one slot per skew),
+    /// derived on the first call for `c` and read back after that.
     #[inline]
-    pub(crate) fn candidate_sets(&self, line: u64, sets: &mut [usize]) {
-        let _derive = self.profiler.span(Component::IndexDerive);
-        self.index.set_indices_into(line, sets);
+    pub(crate) fn candidate_sets<'c>(&self, c: &'c mut CandidateSets) -> &'c [usize] {
+        if c.sets.is_none() {
+            let _derive = self.profiler.span(Component::IndexDerive);
+            // Derive in place: building the array elsewhere and moving it
+            // in would copy all `MAX_SKEWS` slots.
+            let sets = c.sets.insert([0; MAX_SKEWS]);
+            self.index.set_indices_into(c.line, &mut sets[..self.skews]);
+        }
+        c.sets.as_ref().map_or(&[], |sets| &sets[..self.skews])
     }
 
     /// The valid tag holding `line` for `domain`, if any.
     pub(crate) fn find(&self, line: u64, domain: DomainId) -> Option<usize> {
-        // A zero presence counter proves no valid entry holds `line` (in
+        self.find_in(&mut CandidateSets::new(line), domain)
+    }
+
+    /// The valid tag holding `c`'s line for `domain`, if any. Derives the
+    /// candidate sets into `c` unless the presence filter proves a miss,
+    /// so a fill after a miss reuses them.
+    pub(crate) fn find_in(&self, c: &mut CandidateSets, domain: DomainId) -> Option<usize> {
+        // A zero presence counter proves no valid entry holds the line (in
         // any domain): miss with one filter touch instead of deriving the
         // indices and scanning a random key-lane line per skew. Without a
         // filter every line may be present.
-        if !self.arena.maybe_present(line) {
+        if !self.arena.maybe_present(c.line) {
             return None;
         }
-        let mut sets_buf = [0usize; MAX_SKEWS];
-        let sets = &mut sets_buf[..self.skews];
-        self.candidate_sets(line, sets);
-        for (skew, &set) in sets.iter().enumerate() {
+        let line = c.line;
+        for (skew, &set) in self.candidate_sets(c).iter().enumerate() {
             let base = self.base(skew, set);
             if let Some(i) = self
                 .arena

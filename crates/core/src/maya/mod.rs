@@ -34,10 +34,9 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use maya_obs::{Component, EventKind, EvictionCause, ProbeHandle, ProfileHandle};
-use prince_cipher::MAX_SKEWS;
 
 use crate::cache::{CacheModel, FaultKind};
-use crate::decoupled::DecoupledStore;
+use crate::decoupled::{CandidateSets, DecoupledStore};
 use crate::mirage::SkewSelection;
 use crate::storage::{key, meta, NONE};
 use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
@@ -248,19 +247,18 @@ impl MayaCache {
 
     // --- fills --------------------------------------------------------------
 
-    /// Chooses the tag way for a new fill using load-aware skew selection;
-    /// returns `(flat_index, sae)`. On an SAE the victim is evicted here.
+    /// Chooses the tag way for a new fill of `c`'s line using load-aware
+    /// skew selection; returns `(flat_index, sae)`. On an SAE the victim is
+    /// evicted here.
     fn choose_fill_slot(
         &mut self,
-        line: u64,
+        c: &mut CandidateSets,
         requester: DomainId,
         wb: &mut Writebacks,
     ) -> (usize, bool) {
         let s = &mut self.store;
         let ways = s.ways_per_skew;
-        let mut sets_buf = [0usize; MAX_SKEWS];
-        let sets = &mut sets_buf[..s.skews];
-        s.candidate_sets(line, sets);
+        let sets = s.candidate_sets(c);
         let _repl = s.profiler.span(Component::Replacement);
         // Invalid-way counts per skew for this line's candidate sets.
         let mut best_skew = 0;
@@ -357,9 +355,11 @@ impl MayaCache {
         self.store.arena.set_fptr(tag_idx, NONE);
     }
 
-    /// Installs a priority-0 (tag-only) entry for a demand-read miss.
-    fn install_p0(&mut self, line: u64, domain: DomainId, wb: &mut Writebacks) -> bool {
-        let (idx, sae) = self.choose_fill_slot(line, domain, wb);
+    /// Installs a priority-0 (tag-only) entry for a demand-read miss of
+    /// `c`'s line.
+    fn install_p0(&mut self, c: &mut CandidateSets, domain: DomainId, wb: &mut Writebacks) -> bool {
+        let line = c.line();
+        let (idx, sae) = self.choose_fill_slot(c, domain, wb);
         debug_assert_eq!(
             transition(self.state(idx), TagEvent::DemandRead),
             Ok(TagState::Priority0),
@@ -379,12 +379,19 @@ impl MayaCache {
         sae
     }
 
-    /// Installs a priority-1 dirty entry for a writeback miss.
-    fn install_p1_dirty(&mut self, line: u64, domain: DomainId, wb: &mut Writebacks) -> bool {
+    /// Installs a priority-1 dirty entry for a writeback miss of `c`'s
+    /// line.
+    fn install_p1_dirty(
+        &mut self,
+        c: &mut CandidateSets,
+        domain: DomainId,
+        wb: &mut Writebacks,
+    ) -> bool {
+        let line = c.line();
         if self.store.arena.free_is_empty() {
             self.global_data_eviction(domain, wb);
         }
-        let (idx, sae) = self.choose_fill_slot(line, domain, wb);
+        let (idx, sae) = self.choose_fill_slot(c, domain, wb);
         debug_assert_eq!(
             transition(self.state(idx), TagEvent::Write),
             Ok(TagState::Priority1Dirty),
@@ -439,7 +446,8 @@ impl CacheModel for MayaCache {
             AccessKind::Writeback => self.store.stats.writebacks_in += 1,
         }
         let mut wb = Writebacks::none();
-        if let Some(i) = self.store.find(req.line, req.domain) {
+        let mut c = CandidateSets::new(req.line);
+        if let Some(i) = self.store.find_in(&mut c, req.domain) {
             match self.state(i) {
                 TagState::Priority1Clean | TagState::Priority1Dirty => {
                     match req.kind {
@@ -505,10 +513,8 @@ impl CacheModel for MayaCache {
         let line = req.line;
         self.store.probe.emit_with(|| EventKind::Miss { line });
         let sae = match req.kind {
-            AccessKind::Read | AccessKind::Prefetch => {
-                self.install_p0(req.line, req.domain, &mut wb)
-            }
-            AccessKind::Writeback => self.install_p1_dirty(req.line, req.domain, &mut wb),
+            AccessKind::Read | AccessKind::Prefetch => self.install_p0(&mut c, req.domain, &mut wb),
+            AccessKind::Writeback => self.install_p1_dirty(&mut c, req.domain, &mut wb),
         };
         Response {
             event: AccessEvent::Miss,

@@ -11,15 +11,17 @@
 //!
 //! * [`Prince`] — the full cipher (encrypt/decrypt), validated against the
 //!   five published test vectors from the PRINCE paper. The hot path runs
-//!   each round as 16 fused-table loads (S-box, `M'`, and ShiftRows
-//!   precomposed per nibble position — see the `tables` module).
+//!   each round as 8 loads from 16 KB byte-indexed tables (S-box, `M'`,
+//!   and ShiftRows precomposed per byte position — see the `tables`
+//!   module).
 //! * [`reference`] — the spec-literal implementation kept as the
 //!   correctness oracle; the fused path is cross-checked against it bit
 //!   for bit.
 //! * [`IndexFunction`] — per-skew set-index derivation for skewed randomized
 //!   caches, as used by the `maya-core` cache models. Batch-friendly and
 //!   allocation-free ([`IndexFunction::set_indices_into`]), with an
-//!   optional per-key-epoch memo table for recently translated addresses.
+//!   optional per-key-epoch memo table, hashed and 2-way set-associative,
+//!   for recently translated addresses.
 //!
 //! # Examples
 //!

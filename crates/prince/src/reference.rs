@@ -9,7 +9,7 @@
 //! of the state, bit 0 of a nibble its most-significant bit).
 //!
 //! It is deliberately slow and obvious. The production [`crate::Prince`]
-//! type uses fused per-nibble tables instead (see [`crate::tables`]); the
+//! type uses fused byte-position tables instead (see [`crate::tables`]); the
 //! two are cross-checked bit for bit by the test suite and by the
 //! `perfbench` harness in `maya-bench`. Keep this module untouched when
 //! optimizing — it is the ground truth the fast path is measured against.

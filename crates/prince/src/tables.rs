@@ -8,7 +8,7 @@
 //! `v`, the 64-bit contribution of that nibble through substitution *and*
 //! the linear layer turns a whole round into 16 table loads XORed together.
 //!
-//! Four tables cover the cipher (2 KB each, built at compile time):
+//! Four nibble tables define the layers (2 KB each, built at compile time):
 //!
 //! * [`FWD`]`[i][v] = SR(M'(SBOX[v] @ i))` — one full forward round.
 //! * [`MID`]`[i][v] = M'(SBOX[v] @ i)` — the middle layer up to (but not
@@ -22,6 +22,12 @@
 //!
 //! (`x @ i` denotes nibble value `x` placed at nibble position `i` of an
 //! otherwise-zero 64-bit word; position 0 is the most significant nibble.)
+//!
+//! The hot path does not load the nibble tables. [`widen`] merges each
+//! pair of adjacent nibble positions into one byte position, giving
+//! [`FWD8`], [`MID8`], [`BWD8`] and [`SINV8`] (8 positions × 256 values,
+//! 16 KB each): a round is then 8 loads XORed together ([`fuse8`]). The
+//! nibble tables remain the source of that widening and the tests' oracle.
 //!
 //! All tables are `const`-evaluated from the same [`crate::reference`]
 //! constants the spec-literal implementation uses, and the test suite
