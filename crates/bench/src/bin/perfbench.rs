@@ -1,60 +1,55 @@
-//! `perfbench`: the deterministic perf-regression microbenchmark.
+//! `perfbench`: the perf gates nothing else measures, and the perf-history
+//! check over the repository benchmark's output.
 //!
-//! Measures (a) PRINCE throughput on the fused table-driven path and the
-//! spec-literal reference path, (b) the simulator front end in isolation —
-//! block-batched trace generation, the SoA private-cache lookup, and the
-//! block-draining dispatch loop on a baseline LLC — (c) end-to-end simulator
-//! throughput on short Maya and Mirage runs, and (d) cold-versus-warm
-//! sweep wall time per experiment family through the `sched` engine and
-//! its result cache, then writes all numbers as JSONL to `BENCH_perf.json`.
-//! The workloads are fixed iteration counts over fixed seeds — no cycle
-//! counters, no adaptive calibration — so successive runs measure the same
-//! work and are directly comparable; only the wall-clock denominators vary
-//! with the host. A checksum cross-checks the fused and reference paths on
-//! every run.
+//! ```text
+//! perfbench [--check] [--inject-slowdown F] [benchmark-<workload>.txt ...]
+//! ```
+//!
+//! It measures (a) PRINCE throughput on the fused table-driven path and the
+//! spec-literal reference path, after cross-checking the two, and (b)
+//! cold-versus-warm sweep wall time per experiment family through the
+//! `sched` engine and its result cache, and writes both as JSONL to
+//! `BENCH_perf.json`. The workloads are fixed iteration counts over fixed
+//! seeds, so successive runs measure the same work; only the wall-clock
+//! denominators vary with the host.
+//!
+//! Every end-to-end and per-layer timing comes from the repository
+//! benchmark (`crates/bench/src/bin/benchmark`) instead. Each positional
+//! argument is the output of one `benchmark --workload W --trace 1`
+//! invocation, named `benchmark-W.txt` (or `W.txt`);
+//! [`history::benchmark_record`] reads them into one `benchmark` record.
+//! Each run appends that record and a `perfbench` record (the fused
+//! throughput) to `BENCH_history.jsonl`.
 //!
 //! Wall-clock timing is allowed here: maya-bench is harness code, not a
 //! model crate (see maya-lint's crate registry), and the timings land only
 //! in the scratch JSON, never in simulation results.
 //!
-//! With `--check`, exits non-zero if the fused path is less than
-//! [`MIN_SPEEDUP`]× the reference, below [`MIN_FUSED_BLOCKS_PER_SEC`], if
-//! either end-to-end run falls below its absolute floor
-//! ([`MIN_E2E_ACCESSES_PER_SEC`], [`MIN_MIRAGE_E2E_ACCESSES_PER_SEC`]), if
-//! any front-end stage falls below its floor
-//! ([`MIN_TRACE_GEN_ACCESSES_PER_SEC`], [`MIN_L1_LOOKUPS_PER_SEC`],
-//! [`MIN_L2_LOOKUPS_PER_SEC`], [`MIN_DISPATCH_ACCESSES_PER_SEC`]), or
-//! if the warm-cache sweep rerun takes more than [`MAX_WARM_FRACTION`] of
-//! the cold total — the CI perf-smoke gate. `--check` additionally runs
-//! the perf-history regression detector (`maya_bench::history`): the
-//! run's throughputs are compared against the trailing median of prior
-//! same-host records in `BENCH_history.jsonl`, and any metric more than
-//! the noise band below its baseline fails the check. Each run appends
-//! its record to the history afterwards. `--assert-e2e-speedup F` fails
-//! unless the Maya end-to-end throughput is at least `F`× the median of
-//! the *oldest* window of same-host history — the pre-arena era stays the
-//! denominator as fast records accumulate, so the assertion keeps meaning
-//! "the arena refactor's win is still banked". `--inject-slowdown F`
-//! scales every measured throughput down by the fraction `F` (and skips
-//! the history append) — the CI self-test that proves the detector fires.
+//! With `--check`, exits 1 if the fused path is less than [`MIN_SPEEDUP`]×
+//! the reference or below [`MIN_FUSED_BLOCKS_PER_SEC`], if the warm-cache
+//! sweep rerun takes more than [`MAX_WARM_FRACTION`] of the cold total, if
+//! a benchmark metric is missing or below its floor in [`FLOORS`], or if
+//! the history detector finds any metric more than the noise band below
+//! the trailing median of prior same-host records. `--inject-slowdown F`
+//! scales every throughput down by the fraction `F` (and skips the history
+//! append) — the CI self-test that proves the gates fire. Bad arguments or
+//! an unusable input file exit 2 with an `error:` line.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use champsim_lite::{PrivateCache, System};
-use maya_bench::designs::Design;
 use maya_bench::experiments;
 use maya_bench::history::{self, HistoryRecord};
-use maya_bench::perf::{run_mix, system_config, SEED};
 use maya_bench::sched::{self, RunOpts};
 use maya_bench::Scale;
 use maya_obs::json::Obj;
 use maya_obs::SCHEMA_VERSION;
-use prince_cipher::{reference, IndexFunction, Prince};
-use workloads::mixes::homogeneous;
-use workloads::spec::benchmark;
-use workloads::{Access, TraceGenerator};
+use prince_cipher::{reference, Prince};
+
+const USAGE: &str =
+    "usage: perfbench [--check] [--inject-slowdown F] [benchmark-<workload>.txt ...]\n\
+     each input is one `benchmark --workload <workload> --trace 1` output";
 
 /// Blocks encrypted on the fused path.
 const FUSED_BLOCKS: u64 = 4_000_000;
@@ -62,8 +57,6 @@ const FUSED_BLOCKS: u64 = 4_000_000;
 const REFERENCE_BLOCKS: u64 = 400_000;
 /// Blocks cross-checked fused-vs-reference before timing.
 const CROSS_CHECK_BLOCKS: u64 = 10_000;
-/// Index-derivation calls timed (two skews each).
-const INDEX_CALLS: u64 = 2_000_000;
 /// Required fused/reference speedup (the ISSUE's acceptance floor).
 const MIN_SPEEDUP: f64 = 3.0;
 /// Absolute floor for fused throughput under `--check`. Deliberately
@@ -71,46 +64,47 @@ const MIN_SPEEDUP: f64 = 3.0;
 /// real regression — not machine jitter — trips it.
 const MIN_FUSED_BLOCKS_PER_SEC: f64 = 4_000_000.0;
 
-/// Absolute floor for Maya end-to-end throughput under `--check`. The
-/// arena-backed stores and allocation-free access path measure ~1.1M
-/// LLC accesses/sec on a single CI-class core; ~2x headroom absorbs
-/// slower hosts and jitter while still catching a return to the
-/// pre-arena ~0.7M level on comparable machines (the history detector
-/// and `--assert-e2e-speedup` guard the relative claim).
-const MIN_E2E_ACCESSES_PER_SEC: f64 = 500_000.0;
-
-/// Absolute floor for Mirage end-to-end throughput under `--check`
-/// (measures ~0.9M accesses/sec post-arena; same headroom rationale).
-const MIN_MIRAGE_E2E_ACCESSES_PER_SEC: f64 = 350_000.0;
-
-/// Accesses synthesized per benchmark family in the trace-generation
-/// microbench (the block-batched `fill_block` path the simulator's dispatch
-/// loop consumes).
-const TRACE_GEN_ACCESSES: u64 = 1_000_000;
-
-/// Lookups driven through each private-cache geometry (the L1's 64×12 and
-/// the L2's 1024×8 from Table V).
-const PRIVATE_LOOKUPS: u64 = 4_000_000;
-
-/// Absolute floor for block-batched trace generation under `--check`.
-/// Measures ~31M accesses/sec on a single CI-class core; ~3x headroom so
-/// only a real regression — not machine jitter — trips it.
-const MIN_TRACE_GEN_ACCESSES_PER_SEC: f64 = 10_000_000.0;
-
-/// Absolute floor for the L1-geometry SoA lookup under `--check`
-/// (measures ~17M lookups/sec on the miss-heavy microbench stream; ~3x
-/// headroom absorbs host variance).
-const MIN_L1_LOOKUPS_PER_SEC: f64 = 6_000_000.0;
-
-/// Absolute floor for the L2-geometry SoA lookup under `--check`
-/// (measures ~21M lookups/sec; same rationale).
-const MIN_L2_LOOKUPS_PER_SEC: f64 = 7_000_000.0;
-
-/// Absolute floor for the fused block-dispatch loop under `--check`: a
-/// full baseline-LLC run timed per trace access, so it covers block pull,
-/// L1/L2, prefetcher, LLC, and DRAM together (measures ~1.9M
-/// accesses/sec).
-const MIN_DISPATCH_ACCESSES_PER_SEC: f64 = 700_000.0;
+/// Absolute floors under `--check` on the benchmark record's metrics
+/// (rates; see [`history::BENCHMARK_METRICS`]), with what each guards.
+/// Each keeps the headroom (floor over measurement) of the `perfbench`
+/// floor it replaced, measured as medians of sixteen interleaved
+/// `benchmark --seconds 1 --trace 1` and `perfbench` runs on one 2-vCPU
+/// Xeon VM, rounded up. The second Maya floor is the banked end-to-end
+/// win: 1.5× the median of the oldest five `ci-repro` perfbench records
+/// (720,252/s), times the same runs' benchmark/perfbench ratio (1.664).
+const FLOORS: [(&str, f64, &str); 7] = [
+    ("maya-stream/llc_calls_per_s", 832_000.0, "Maya end to end"),
+    (
+        "maya-stream/llc_calls_per_s",
+        1_798_000.0,
+        "Maya end to end, 1.5x the pre-arena median",
+    ),
+    (
+        "mirage-stream/llc_calls_per_s",
+        571_000.0,
+        "Mirage end to end",
+    ),
+    (
+        "baseline-stream/llc_calls_per_s",
+        1_217_000.0,
+        "block dispatch",
+    ),
+    (
+        "baseline-stream/workloads.synth_accesses_per_s",
+        11_510_000.0,
+        "trace generation",
+    ),
+    (
+        "baseline-stream/sim.l1_lookups_per_s",
+        6_980_000.0,
+        "L1 lookup",
+    ),
+    (
+        "baseline-stream/sim.l2_lookups_per_s",
+        9_380_000.0,
+        "L2 lookup",
+    ),
+];
 
 /// Warm-cache rerun budget as a fraction of the cold sweep total (the
 /// ISSUE's acceptance floor: a fully cached rerun must cost at most a
@@ -129,6 +123,69 @@ const SWEEP_FAMILIES: [(&str, &[&str]); 4] = [
     ("attack", &["demo-flush", "demo-eviction"]),
     ("perf", &["llcfit"]),
 ];
+
+struct Args {
+    check: bool,
+    inject_slowdown: Option<f64>,
+    inputs: Vec<PathBuf>,
+}
+
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        check: false,
+        inject_slowdown: None,
+        inputs: Vec::new(),
+    };
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--check" => args.check = true,
+            "--inject-slowdown" => {
+                let v = it.next().ok_or("--inject-slowdown needs a value")?;
+                let f = v
+                    .parse()
+                    .ok()
+                    .filter(|f| (0.0..1.0).contains(f))
+                    .ok_or(format!(
+                        "--inject-slowdown needs a fraction in [0,1), not {v}"
+                    ))?;
+                args.inject_slowdown = Some(f);
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown argument {flag}")),
+            path => args.inputs.push(PathBuf::from(path)),
+        }
+    }
+    Ok(args)
+}
+
+/// The workload a benchmark output holds, from its file name:
+/// `benchmark-maya-stream.txt` and `maya-stream.txt` are both `maya-stream`.
+fn workload_of(path: &Path) -> Option<&str> {
+    let stem = path.file_stem()?.to_str()?;
+    Some(stem.strip_prefix("benchmark-").unwrap_or(stem))
+}
+
+/// Reads every input into one `benchmark` record (`None` without inputs).
+fn read_inputs(paths: &[PathBuf]) -> Result<Option<HistoryRecord>, String> {
+    let mut merged: Option<HistoryRecord> = None;
+    for path in paths {
+        let shown = path.display();
+        let workload = workload_of(path).ok_or(format!("{shown}: no workload in the file name"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{shown}: {e}"))?;
+        let record =
+            history::benchmark_record(workload, &text).map_err(|e| format!("{shown}: {e}"))?;
+        match &mut merged {
+            None => merged = Some(record),
+            Some(m) => {
+                for (key, value) in record.metrics {
+                    if m.metrics.insert(key, value).is_some() {
+                        return Err(format!("{shown}: workload {workload} is given twice"));
+                    }
+                }
+            }
+        }
+    }
+    Ok(merged)
+}
 
 /// Runs every experiment of a family through the scheduler against
 /// `cache_dir`, returning (total wall seconds, total jobs, total cache
@@ -152,32 +209,20 @@ fn run_family(ids: &[&str], scale: Scale, cache_dir: &Path) -> (f64, usize, usiz
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let inject_slowdown: Option<f64> =
-        args.iter().position(|a| a == "--inject-slowdown").map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .filter(|f| (0.0..1.0).contains(f))
-                .unwrap_or_else(|| {
-                    eprintln!("--inject-slowdown needs a fraction in [0,1)");
-                    std::process::exit(2);
-                })
-        });
-    let assert_e2e_speedup: Option<f64> = args
-        .iter()
-        .position(|a| a == "--assert-e2e-speedup")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .filter(|f| *f > 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!("--assert-e2e-speedup needs a positive factor");
-                    std::process::exit(2);
-                })
-        });
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
+    let usage_error = |e: String| -> ! {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    };
+    let args = parse_args(argv.into_iter()).unwrap_or_else(|e| usage_error(e));
+    let benchmark = read_inputs(&args.inputs).unwrap_or_else(|e| usage_error(e));
     // Synthetic regression: pretend the host got `1 - F` times as fast.
-    let slow = 1.0 - inject_slowdown.unwrap_or(0.0);
+    let slow = 1.0 - args.inject_slowdown.unwrap_or(0.0);
+    let benchmark = benchmark.map(|r| r.scaled(slow));
 
     // Correctness gate before any timing: the two paths must agree.
     let cipher = Prince::new(K0, K1);
@@ -204,110 +249,7 @@ fn main() {
     let ref_secs = t.elapsed().as_secs_f64();
     let ref_bps = REFERENCE_BLOCKS as f64 / ref_secs.max(1e-9);
     let speedup = fused_bps / ref_bps.max(1e-9);
-
-    // Index derivation, batch API, memo-less (worst case: every call pays
-    // the full per-skew encryptions).
-    let f = IndexFunction::from_seed(7, 2, 16 * 1024);
-    let mut sets = [0usize; 2];
-    let t = Instant::now();
-    for i in 0..INDEX_CALLS {
-        f.set_indices_into(i * 64, &mut sets);
-        acc = acc.wrapping_add((sets[0] ^ sets[1]) as u64);
-    }
-    let index_secs = t.elapsed().as_secs_f64();
-    let index_cps = slow * INDEX_CALLS as f64 / index_secs.max(1e-9);
-
-    // Front-end stage 1: block-batched trace generation. This is the pure
-    // synthesis cost the dispatch loop pays the first time a (benchmark,
-    // core, seed) stream is pulled; replays hit the trace cache instead.
-    // Two benchmark families so both the streaming (lbm) and pointer-chase
-    // (mcf) mixture shapes are in the measurement.
-    let zero = Access {
-        addr: 0,
-        is_write: false,
-        pc: 0,
-        gap: 0,
-        dependent: false,
-    };
-    let mut block = vec![zero; workloads::block::BLOCK_ACCESSES];
-    let t = Instant::now();
-    for name in ["lbm", "mcf"] {
-        let spec = benchmark(name).expect("known benchmark");
-        let mut gen = spec.generator(0, SEED);
-        let mut produced = 0u64;
-        while produced < TRACE_GEN_ACCESSES {
-            gen.fill_block(&mut block);
-            produced += block.len() as u64;
-            acc ^= block[0].addr;
-        }
-    }
-    let trace_gen_secs = t.elapsed().as_secs_f64();
-    let trace_gen_aps = slow * (2 * TRACE_GEN_ACCESSES) as f64 / trace_gen_secs.max(1e-9);
-
-    // Front-end stage 2: the SoA private-cache lookup at both Table V
-    // geometries. The address stream is a fixed LCG over a footprint a few
-    // times the capacity, so hits and misses (and dirty writebacks) are
-    // both exercised; no entropy, byte-identical work every run.
-    let mut private_lookup = |sets: usize, ways: usize, footprint: u64| -> f64 {
-        let mut cache = PrivateCache::new(sets, ways);
-        let mut x = 0x243f_6a88_85a3_08d3u64;
-        let t = Instant::now();
-        let mut sink = 0u64;
-        for i in 0..PRIVATE_LOOKUPS {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let line = (x >> 33) % footprint;
-            let r = if i % 4 == 0 {
-                cache.write(line)
-            } else {
-                cache.read(line)
-            };
-            sink = sink.wrapping_add(r.hit as u64) ^ r.writeback.unwrap_or(0);
-        }
-        let secs = t.elapsed().as_secs_f64();
-        acc ^= sink;
-        slow * PRIVATE_LOOKUPS as f64 / secs.max(1e-9)
-    };
-    let l1_lps = private_lookup(64, 12, 6_000);
-    let l2_lps = private_lookup(1024, 8, 60_000);
-
-    // Front-end stage 3 + end-to-end simulator throughput: fixed scale and
-    // workload, the same shape `diag` uses. The baseline run is timed per
-    // *trace* access — block pull, L1/L2, prefetcher, and a cheap LLC —
-    // so it isolates the dispatch loop; it also records the mix's
-    // streams into the trace cache, which the Maya and Mirage timings then
-    // replay, exactly like the later rows of a diag grid. Both secure
-    // designs sit on the shared arena, so either regressing flags a
-    // store-layer slip.
-    let scale = Scale {
-        warmup: 100_000,
-        measure: 300_000,
-        mc_iterations: 0,
-        attack_trials: 0,
-    };
-    let mix = homogeneous("lbm", 8);
-    let cfg = system_config(mix.specs.len(), scale);
-    let llc = Design::Baseline.build(cfg.baseline_llc_lines(), SEED);
-    let gens = workloads::block::cached_generators(&mix.specs, SEED);
-    let mut sys = System::with_generators(cfg, llc, gens);
-    let t = Instant::now();
-    let _ = sys.run();
-    let dispatch_secs = t.elapsed().as_secs_f64();
-    let dispatch_accesses = sys.trace_accesses();
-    let dispatch_aps = slow * dispatch_accesses as f64 / dispatch_secs.max(1e-9);
-
-    let t = Instant::now();
-    let r = run_mix(Design::Maya, &mix, scale);
-    let e2e_secs = t.elapsed().as_secs_f64();
-    let accesses = r.llc.reads + r.llc.writebacks_in;
-    let e2e_aps = slow * accesses as f64 / e2e_secs.max(1e-9);
-    let t = Instant::now();
-    let rm = run_mix(Design::Mirage, &mix, scale);
-    let mirage_secs = t.elapsed().as_secs_f64();
-    let mirage_accesses = rm.llc.reads + rm.llc.writebacks_in;
-    let mirage_e2e_aps = slow * mirage_accesses as f64 / mirage_secs.max(1e-9);
-    if let Some(f) = inject_slowdown {
+    if let Some(f) = args.inject_slowdown {
         eprintln!(
             "injected synthetic slowdown: throughputs scaled by {:.2}",
             1.0 - f
@@ -317,21 +259,6 @@ fn main() {
     println!("prince fused:     {fused_bps:>12.0} blocks/sec");
     println!("prince reference: {ref_bps:>12.0} blocks/sec");
     println!("speedup:          {speedup:>12.1} x");
-    println!("index derivation: {index_cps:>12.0} calls/sec (2 skews/call)");
-    println!("trace generation: {trace_gen_aps:>12.0} accesses/sec (fill_block, lbm+mcf)");
-    println!(
-        "l1 lookup:        {:>12.1} ns ({:.1}M lookups/sec)",
-        1e9 / l1_lps.max(1e-9),
-        l1_lps / 1e6
-    );
-    println!(
-        "l2 lookup:        {:>12.1} ns ({:.1}M lookups/sec)",
-        1e9 / l2_lps.max(1e-9),
-        l2_lps / 1e6
-    );
-    println!("block dispatch:   {dispatch_aps:>12.0} accesses/sec (baseline end to end)");
-    println!("maya end-to-end:  {e2e_aps:>12.0} LLC accesses/sec");
-    println!("mirage end-to-end:{mirage_e2e_aps:>12.0} LLC accesses/sec");
 
     // Sweep engine: cold (empty cache) vs warm (fully cached) wall time
     // per experiment family, at quick scale, serial workers — the cache is
@@ -390,16 +317,6 @@ fn main() {
         .f64("fused_blocks_per_sec", fused_bps)
         .f64("reference_blocks_per_sec", ref_bps)
         .f64("speedup", speedup)
-        .f64("index_calls_per_sec", index_cps)
-        .f64("trace_gen_accesses_per_sec", trace_gen_aps)
-        .f64("l1_lookups_per_sec", l1_lps)
-        .f64("l2_lookups_per_sec", l2_lps)
-        .u64("dispatch_trace_accesses", dispatch_accesses)
-        .f64("dispatch_accesses_per_sec", dispatch_aps)
-        .u64("e2e_llc_accesses", accesses)
-        .f64("e2e_accesses_per_sec", e2e_aps)
-        .u64("mirage_e2e_llc_accesses", mirage_accesses)
-        .f64("mirage_e2e_accesses_per_sec", mirage_e2e_aps)
         .finish();
     let total_line = Obj::new()
         .str("type", "sweep-total")
@@ -419,153 +336,87 @@ fn main() {
     // Perf history: read the committed trail, judge this run against it,
     // then append (real runs only — an injected slowdown must not poison
     // the baseline for the next run).
-    let current = HistoryRecord {
+    let fused = HistoryRecord {
         tool: "perfbench".to_string(),
         host,
         build,
-        metrics: [
-            ("fused_blocks_per_sec".to_string(), fused_bps),
-            ("index_calls_per_sec".to_string(), index_cps),
-            ("trace_gen_accesses_per_sec".to_string(), trace_gen_aps),
-            ("l1_lookups_per_sec".to_string(), l1_lps),
-            ("l2_lookups_per_sec".to_string(), l2_lps),
-            ("dispatch_accesses_per_sec".to_string(), dispatch_aps),
-            ("e2e_accesses_per_sec".to_string(), e2e_aps),
-            ("mirage_e2e_accesses_per_sec".to_string(), mirage_e2e_aps),
-        ]
-        .into_iter()
-        .collect(),
+        metrics: [("fused_blocks_per_sec".to_string(), fused_bps)]
+            .into_iter()
+            .collect(),
     };
+    let current: Vec<&HistoryRecord> = std::iter::once(&fused).chain(&benchmark).collect();
     let prior_text = std::fs::read_to_string(history::HISTORY_FILE).unwrap_or_default();
     let prior = history::parse_history(&prior_text).unwrap_or_else(|e| {
         eprintln!("FAIL: unreadable {}: {e}", history::HISTORY_FILE);
         std::process::exit(1);
     });
-    let outcome = history::check_regressions(&prior, &current);
-    for w in &outcome.warnings {
-        eprintln!("history: warning: {w}");
+    let mut findings = Vec::new();
+    for record in &current {
+        let outcome = history::check_regressions(&prior, record);
+        for w in &outcome.warnings {
+            eprintln!("history: warning: {} {w}", record.tool);
+        }
+        findings.extend(outcome.findings);
     }
-    if inject_slowdown.is_none() {
+    if args.inject_slowdown.is_none() {
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(history::HISTORY_FILE)
             .expect("append BENCH_history.jsonl");
-        writeln!(f, "{}", current.to_json_line()).expect("append BENCH_history.jsonl");
+        for record in &current {
+            writeln!(f, "{}", record.to_json_line()).expect("append BENCH_history.jsonl");
+        }
         eprintln!(
-            "appended to {} ({} prior record(s))",
+            "appended {} record(s) to {} ({} prior record(s))",
+            current.len(),
             history::HISTORY_FILE,
             prior.len()
         );
     }
 
+    if !args.check {
+        return;
+    }
     let mut failed = false;
-
-    // The banked-speedup assertion: Maya end-to-end against the median of
-    // the *oldest* same-host window in the committed history. Unlike the
-    // trailing-median detector (which follows the fleet as it speeds up),
-    // this denominator never moves, so the assertion stays "the arena
-    // refactor's end-to-end win has not been given back".
-    if let Some(factor) = assert_e2e_speedup {
-        let mut era: Vec<f64> = prior
-            .iter()
-            .filter(|r| r.host == current.host && r.tool == current.tool)
-            .filter_map(|r| r.metrics.get("e2e_accesses_per_sec").copied())
-            .take(history::WINDOW)
-            .collect();
-        if era.is_empty() {
-            eprintln!(
-                "e2e-speedup: no prior same-host history; recording a \
-                 baseline, nothing to assert against"
-            );
-        } else {
-            era.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let n = era.len();
-            let baseline = if n % 2 == 1 {
-                era[n / 2]
-            } else {
-                (era[n / 2 - 1] + era[n / 2]) / 2.0
-            };
-            let ratio = e2e_aps / baseline.max(1e-9);
-            eprintln!(
-                "e2e speedup vs first-era median {baseline:.0}: {ratio:.2}x \
-                 (required {factor:.2}x)"
-            );
-            if ratio < factor {
-                eprintln!(
-                    "FAIL: maya e2e throughput {e2e_aps:.0} is only {ratio:.2}x \
-                     the first-era median {baseline:.0} (required {factor:.2}x)"
-                );
+    for finding in &findings {
+        eprintln!("FAIL: perf regression: {finding}");
+        failed = true;
+    }
+    if speedup < MIN_SPEEDUP {
+        eprintln!("FAIL: speedup {speedup:.2}x below the {MIN_SPEEDUP}x floor");
+        failed = true;
+    }
+    if fused_bps < MIN_FUSED_BLOCKS_PER_SEC {
+        eprintln!(
+            "FAIL: fused throughput {fused_bps:.0} below the {MIN_FUSED_BLOCKS_PER_SEC:.0} blocks/sec floor"
+        );
+        failed = true;
+    }
+    for (metric, floor, what) in FLOORS {
+        match benchmark.as_ref().and_then(|r| r.metrics.get(metric)) {
+            None => {
+                eprintln!("FAIL: {what}: no {metric} in the benchmark inputs");
                 failed = true;
             }
+            Some(&value) if value < floor => {
+                eprintln!("FAIL: {what}: {metric} {value:.0} below the {floor:.0} floor");
+                failed = true;
+            }
+            Some(_) => {}
         }
     }
-
-    if check {
-        for finding in &outcome.findings {
-            eprintln!("FAIL: perf regression: {finding}");
-            failed = true;
-        }
-        if speedup < MIN_SPEEDUP {
-            eprintln!("FAIL: speedup {speedup:.2}x below the {MIN_SPEEDUP}x floor");
-            failed = true;
-        }
-        if fused_bps < MIN_FUSED_BLOCKS_PER_SEC {
-            eprintln!(
-                "FAIL: fused throughput {fused_bps:.0} below the {MIN_FUSED_BLOCKS_PER_SEC:.0} blocks/sec floor"
-            );
-            failed = true;
-        }
-        if e2e_aps < MIN_E2E_ACCESSES_PER_SEC {
-            eprintln!(
-                "FAIL: maya e2e throughput {e2e_aps:.0} below the {MIN_E2E_ACCESSES_PER_SEC:.0} accesses/sec floor"
-            );
-            failed = true;
-        }
-        if mirage_e2e_aps < MIN_MIRAGE_E2E_ACCESSES_PER_SEC {
-            eprintln!(
-                "FAIL: mirage e2e throughput {mirage_e2e_aps:.0} below the {MIN_MIRAGE_E2E_ACCESSES_PER_SEC:.0} accesses/sec floor"
-            );
-            failed = true;
-        }
-        if trace_gen_aps < MIN_TRACE_GEN_ACCESSES_PER_SEC {
-            eprintln!(
-                "FAIL: trace generation {trace_gen_aps:.0} below the {MIN_TRACE_GEN_ACCESSES_PER_SEC:.0} accesses/sec floor"
-            );
-            failed = true;
-        }
-        if l1_lps < MIN_L1_LOOKUPS_PER_SEC {
-            eprintln!(
-                "FAIL: l1 lookup {l1_lps:.0} below the {MIN_L1_LOOKUPS_PER_SEC:.0} lookups/sec floor"
-            );
-            failed = true;
-        }
-        if l2_lps < MIN_L2_LOOKUPS_PER_SEC {
-            eprintln!(
-                "FAIL: l2 lookup {l2_lps:.0} below the {MIN_L2_LOOKUPS_PER_SEC:.0} lookups/sec floor"
-            );
-            failed = true;
-        }
-        if dispatch_aps < MIN_DISPATCH_ACCESSES_PER_SEC {
-            eprintln!(
-                "FAIL: block dispatch {dispatch_aps:.0} below the {MIN_DISPATCH_ACCESSES_PER_SEC:.0} accesses/sec floor"
-            );
-            failed = true;
-        }
-        if warm_fraction_total > MAX_WARM_FRACTION {
-            eprintln!(
-                "FAIL: warm-cache rerun took {:.0}% of the cold sweep time \
-                 (budget {:.0}%)",
-                warm_fraction_total * 100.0,
-                MAX_WARM_FRACTION * 100.0
-            );
-            failed = true;
-        }
+    if warm_fraction_total > MAX_WARM_FRACTION {
+        eprintln!(
+            "FAIL: warm-cache rerun took {:.0}% of the cold sweep time \
+             (budget {:.0}%)",
+            warm_fraction_total * 100.0,
+            MAX_WARM_FRACTION * 100.0
+        );
+        failed = true;
     }
     if failed {
         std::process::exit(1);
     }
-    if check || assert_e2e_speedup.is_some() {
-        eprintln!("perf check passed");
-    }
+    eprintln!("perf check passed");
 }

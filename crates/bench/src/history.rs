@@ -1,16 +1,21 @@
 //! Perf history and the CI regression detector.
 //!
-//! `perfbench` and `diag` append one schema-versioned record per run to
-//! `BENCH_history.jsonl`; [`check_regressions`] compares the newest run
-//! against the median of a trailing window of prior same-host, same-tool
-//! records, with a noise band wide enough that machine jitter never
-//! trips it. `perfbench --check` turns detector findings into a non-zero
-//! exit, which is what the CI perf-smoke job gates on.
+//! `perfbench` appends schema-versioned records to `BENCH_history.jsonl`:
+//! a `perfbench` record with the fused PRINCE throughput it measures
+//! itself, and a `benchmark` record that [`benchmark_record`] reads out of
+//! the repository benchmark's output (`crates/bench/src/bin/benchmark`),
+//! one traced invocation per workload. [`check_regressions`] compares the
+//! newest run against the median of a trailing window of prior same-host,
+//! same-tool records, with a noise band wide enough that machine jitter
+//! never trips it. `perfbench --check` turns detector findings into a
+//! non-zero exit, which is what the CI benchmark-smoke job gates on.
 //!
 //! Wall-clock throughput is inherently host-specific, so records carry a
 //! host id and only like-for-like histories are compared: a laptop run
 //! appended to a CI host's history is simply ignored by the detector on
-//! either machine.
+//! either machine. Records of tools and metrics that are gone (the `diag`
+//! example, `perfbench`'s simulator timings) stay parseable and simply
+//! never enter a window again.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,13 +39,15 @@ pub const NOISE_BAND: f64 = 0.2;
 /// (higher is better) stamped with the host and build that produced them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistoryRecord {
-    /// Producing tool (`perfbench`, `diag`).
+    /// Producing tool (`perfbench`, `benchmark`; older records also
+    /// `diag`).
     pub tool: String,
     /// Host id the run executed on (see [`host_id`]).
     pub host: String,
     /// Build id (crate version + profile, see [`build_id`]).
     pub build: String,
-    /// Throughput metrics, higher-is-better (`e2e_accesses_per_sec`, ...).
+    /// Throughput metrics, higher-is-better (`fused_blocks_per_sec`,
+    /// `maya-stream/llc_calls_per_s`, ...).
     pub metrics: BTreeMap<String, f64>,
 }
 
@@ -57,6 +64,109 @@ impl HistoryRecord {
         }
         o.u64("schema_version", SCHEMA_VERSION).finish()
     }
+
+    /// The same record with every metric multiplied by `factor`:
+    /// `scaled(0.7)` is the run 30% slower (`--inject-slowdown 0.3`).
+    pub fn scaled(&self, factor: f64) -> HistoryRecord {
+        let mut out = self.clone();
+        out.metrics.values_mut().for_each(|v| *v *= factor);
+        out
+    }
+}
+
+/// The tool name of the records [`benchmark_record`] builds.
+const BENCHMARK_TOOL: &str = "benchmark";
+
+/// The benchmark metrics the history tracks, as (name in the benchmark's
+/// output, name in the history). Every workload reports the first two;
+/// the simulator workloads report all of them. A `_ns_` metric is a cost
+/// per operation, so the history records its rate, 1e9 / ns, and every
+/// history metric stays higher-is-better.
+pub const BENCHMARK_METRICS: [(&str, &str); 6] = [
+    ("llc_calls_per_s", "llc_calls_per_s"),
+    (
+        "prince.index_ns_per_call_nomemo",
+        "prince.index_calls_per_s_nomemo",
+    ),
+    (
+        "workloads.synth_ns_per_access",
+        "workloads.synth_accesses_per_s",
+    ),
+    ("sim.l1_ns_per_lookup", "sim.l1_lookups_per_s"),
+    ("sim.l2_ns_per_lookup", "sim.l2_lookups_per_s"),
+    ("diag_style.lookups_per_s", "diag_style.lookups_per_s"),
+];
+
+/// How many leading [`BENCHMARK_METRICS`] every traced workload reports.
+const EVERY_WORKLOAD: usize = 2;
+
+/// Reads one `benchmark --workload <workload> --trace 1` invocation's
+/// output — its `name value unit n=.. min=.. max=..` lines and the final
+/// JSON line — into a `benchmark` record whose metrics are keyed
+/// `<workload>/<history name>` (see [`BENCHMARK_METRICS`]).
+///
+/// An output whose JSON line reports a failed operation, or that lacks a
+/// metric the workload must report, is an error: a run that did not pass
+/// or was not traced cannot stand in the history.
+pub fn benchmark_record(workload: &str, output: &str) -> Result<HistoryRecord, String> {
+    let lines: Vec<&str> = output.lines().filter(|l| !l.trim().is_empty()).collect();
+    let (last, metric_lines) = lines.split_last().ok_or("empty benchmark output")?;
+    let summary = parse_value(last)
+        .map_err(|e| format!("the last line is not the benchmark's JSON object: {e}"))?;
+    match summary.get("failed").and_then(Value::as_u64) {
+        Some(0) => {}
+        Some(failed) => {
+            return Err(format!(
+                "the benchmark reports {failed} failed operation(s)"
+            ))
+        }
+        None => return Err("the benchmark's JSON line has no \"failed\" count".into()),
+    }
+    let mut metrics = BTreeMap::new();
+    for (name, key) in BENCHMARK_METRICS {
+        let Some(text) = metric_lines.iter().find_map(|l| {
+            let mut words = l.split_whitespace();
+            (words.next() == Some(name)).then(|| words.next().unwrap_or(""))
+        }) else {
+            continue;
+        };
+        let value = text
+            .parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite() && *v > 0.0)
+            .ok_or(format!("{name}: {text:?} is not a positive number"))?;
+        let rate = if name.contains("_ns_") {
+            1e9 / value
+        } else {
+            value
+        };
+        metrics.insert(format!("{workload}/{key}"), rate);
+    }
+    // The simulator metrics come all together or not at all.
+    let (every, sim) = BENCHMARK_METRICS.split_at(EVERY_WORKLOAD);
+    let has = |key: &str| metrics.contains_key(&format!("{workload}/{key}"));
+    let required = if sim.iter().any(|(_, key)| has(key)) {
+        &BENCHMARK_METRICS[..]
+    } else {
+        every
+    };
+    let missing: Vec<&str> = required
+        .iter()
+        .filter(|(_, key)| !has(key))
+        .map(|(name, _)| *name)
+        .collect();
+    if !missing.is_empty() {
+        return Err(format!(
+            "no {} in the output (is it a `--trace 1` run?)",
+            missing.join(", ")
+        ));
+    }
+    Ok(HistoryRecord {
+        tool: BENCHMARK_TOOL.to_string(),
+        host: host_id(),
+        build: build_id(),
+        metrics,
+    })
 }
 
 /// Parses a `BENCH_history.jsonl` text into records, oldest first.
@@ -404,6 +514,138 @@ mod tests {
             "window must exclude the old slow era"
         );
         assert!((out.findings[0].baseline - 4.0e6).abs() < 1.0);
+    }
+
+    /// A captured `benchmark --workload maya-stream --seconds 1 --trace 1`
+    /// output, verbatim.
+    const MAYA_STREAM_OUTPUT: &str = r#"llc_calls_per_s 1528929.1401166546 calls/s n=3 min=1152670.5430717072 max=1346315.6678030014
+run_s 0.848929467 s n=3 min=0.964077765 max=1.12603988
+run.fastest_rep_s 0.964077765 s n=3 min=0.964077765 max=1.12603988
+setup_s 0.058694022 s n=3 min=0.044572125 max=0.074646849
+peak_rss_mib 74.140625 MiB n=1 min=74.140625 max=74.140625
+workloads.synth_ns_per_access 58.47435209676289 ns n=3 min=41.876777956838566 max=75.05959111371916
+diag_style.lookups_per_s 812849.9374545115 lookups/s n=3 min=692038.1012275615 max=812849.9374545115
+llc.calls_per_access 1.4233907316142362 ratio n=1 min=1.4233907316142362 max=1.4233907316142362
+llc.insitu_ns_per_call 465.0029567382509 ns n=1 min=465.0029567382509 max=465.0029567382509
+llc.insitu_ns_p50 278.67692307692306 ns n=1 min=278.67692307692306 max=278.67692307692306
+llc.insitu_ns_p99 1575.8372093023256 ns n=1 min=1575.8372093023256 max=1575.8372093023256
+llc.insitu_samples 12852 count n=1 min=12852 max=12852
+llc.data_hit_ratio 0 ratio n=1 min=0 max=0
+llc.writeback_share 0.2942803013668446 ratio n=1 min=0.2942803013668446 max=0.2942803013668446
+llc.prefetch_share 0.69811849889788 ratio n=1 min=0.69811849889788 max=0.69811849889788
+llc.global_data_evictions_per_kcall 226.07427175407162 1/kcall n=1 min=226.07427175407162 max=226.07427175407162
+llc.global_tag_evictions_per_kcall 113.20423329727119 1/kcall n=1 min=113.20423329727119 max=113.20423329727119
+llc.tag_fills_per_kcall 313.77602359366784 1/kcall n=1 min=313.77602359366784 max=313.77602359366784
+llc.data_fills_per_kcall 310.9512234092509 1/kcall n=1 min=310.9512234092509 max=310.9512234092509
+llc.tag_only_hits_per_kcall 1.9880933940413303 1/kcall n=1 min=1.9880933940413303 max=1.9880933940413303
+llc.saes 0 count n=1 min=0 max=0
+llc.replay_ns_per_call 282.382401365843 ns n=1 min=282.382401365843 max=282.382401365843
+prince.index_ns_per_call 128.63452759845694 ns n=1 min=128.63452759845694 max=128.63452759845694
+prince.index_ns_per_call_nomemo 192.45449488540802 ns n=1 min=192.45449488540802 max=192.45449488540802
+workloads.replay_ns_per_access 4.688997687780269 ns n=1 min=4.688997687780269 max=4.688997687780269
+sim.l1_ns_per_lookup 65.49759506247574 ns n=1 min=65.49759506247574 max=65.49759506247574
+sim.l1_hit_ratio 0 ratio n=1 min=0 max=0
+sim.l2_ns_per_lookup 46.90578942940876 ns n=1 min=46.90578942940876 max=46.90578942940876
+sim.l2_hit_ratio 0.3089198789533237 ratio n=1 min=0.3089198789533237 max=0.3089198789533237
+sim.prefetch_ns_per_observe 11.840446158131495 ns n=1 min=11.840446158131495 max=11.840446158131495
+sim.prefetch_candidates_per_access 3.999789444594319 ratio n=1 min=3.999789444594319 max=3.999789444594319
+sim.dram_ns_per_request 24.121273533724672 ns n=1 min=24.121273533724672 max=24.121273533724672
+sim.dram_row_hit_ratio 0.9178354372477459 ratio n=1 min=0.9178354372477459 max=0.9178354372477459
+sim.residual_ns_per_access 497.0265544282621 ns n=1 min=497.0265544282621 max=497.0265544282621
+sim.ipc_sum 2.2738866802950057 ipc n=1 min=2.2738866802950057 max=2.2738866802950057
+sim.llc_mpki 62.64437677932268 mpki n=1 min=62.64437677932268 max=62.64437677932268
+trace.overhead_ratio 0.9581567568737478 ratio n=1 min=0.9581567568737478 max=0.9581567568737478
+ledger.explained_frac_replay 0.47789997131719103 ratio n=1 min=0.47789997131719103 max=0.47789997131719103
+ledger.explained_frac_insitu 0.6917199377786569 ratio n=1 min=0.6917199377786569 max=0.6917199377786569
+obs.observed_run_ratio 2.7744451374527372 ratio n=1 min=2.7744451374527372 max=2.7744451374527372
+ops_attempted 10 count
+ops_failed 0 count
+{"correct":true,"attempted":10,"failed":0,"metrics":{"llc.calls_per_access":{"value":1.4233907316142362,"unit":"ratio"},"llc.insitu_ns_per_call":{"value":465.0029567382509,"unit":"ns"},"llc.insitu_ns_p50":{"value":278.67692307692306,"unit":"ns"},"llc.insitu_ns_p99":{"value":1575.8372093023256,"unit":"ns"},"llc.replay_ns_per_call":{"value":282.382401365843,"unit":"ns"},"llc.data_hit_ratio":{"value":0,"unit":"ratio"},"llc.writeback_share":{"value":0.2942803013668446,"unit":"ratio"},"llc.prefetch_share":{"value":0.69811849889788,"unit":"ratio"},"llc.global_data_evictions_per_kcall":{"value":226.07427175407162,"unit":"1/kcall"},"llc.global_tag_evictions_per_kcall":{"value":113.20423329727119,"unit":"1/kcall"},"llc.tag_fills_per_kcall":{"value":313.77602359366784,"unit":"1/kcall"},"llc.data_fills_per_kcall":{"value":310.9512234092509,"unit":"1/kcall"},"llc.tag_only_hits_per_kcall":{"value":1.9880933940413303,"unit":"1/kcall"},"llc.saes":{"value":0,"unit":"count"},"prince.index_ns_per_call":{"value":128.63452759845694,"unit":"ns"},"prince.index_ns_per_call_nomemo":{"value":192.45449488540802,"unit":"ns"},"trace.overhead_ratio":{"value":0.9581567568737478,"unit":"ratio"},"ledger.explained_frac_replay":{"value":0.47789997131719103,"unit":"ratio"},"ledger.explained_frac_insitu":{"value":0.6917199377786569,"unit":"ratio"}}}"#;
+
+    #[test]
+    fn benchmark_output_yields_its_named_metrics() {
+        let r = benchmark_record("maya-stream", MAYA_STREAM_OUTPUT).unwrap();
+        assert_eq!(r.tool, BENCHMARK_TOOL);
+        let keys: Vec<&str> = r.metrics.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "maya-stream/diag_style.lookups_per_s",
+                "maya-stream/llc_calls_per_s",
+                "maya-stream/prince.index_calls_per_s_nomemo",
+                "maya-stream/sim.l1_lookups_per_s",
+                "maya-stream/sim.l2_lookups_per_s",
+                "maya-stream/workloads.synth_accesses_per_s",
+            ]
+        );
+        assert_eq!(r.metrics["maya-stream/llc_calls_per_s"], 1528929.1401166546);
+        assert_eq!(
+            r.metrics["maya-stream/diag_style.lookups_per_s"],
+            812849.9374545115
+        );
+        // The record survives the history file.
+        assert_eq!(parse_history(&r.to_json_line()).unwrap(), vec![r]);
+    }
+
+    #[test]
+    fn ns_metrics_are_inverted_to_rates() {
+        let r = benchmark_record("maya-stream", MAYA_STREAM_OUTPUT).unwrap();
+        for (key, ns) in [
+            ("sim.l1_lookups_per_s", 65.49759506247574),
+            ("sim.l2_lookups_per_s", 46.90578942940876),
+            ("workloads.synth_accesses_per_s", 58.47435209676289),
+            ("prince.index_calls_per_s_nomemo", 192.45449488540802),
+        ] {
+            let rate = r.metrics[&format!("maya-stream/{key}")];
+            assert!((rate - 1e9 / ns).abs() < 1e-6, "{key}: {rate}");
+        }
+    }
+
+    #[test]
+    fn failed_or_incomplete_output_is_an_error() {
+        let failed = MAYA_STREAM_OUTPUT.replace(r#""failed":0"#, r#""failed":2"#);
+        let err = benchmark_record("maya-stream", &failed).unwrap_err();
+        assert!(err.contains("2 failed"), "{err}");
+
+        let without = |names: &[&str]| -> String {
+            MAYA_STREAM_OUTPUT
+                .lines()
+                .filter(|l| names.iter().all(|n| !l.starts_with(&format!("{n} "))))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for (name, _) in BENCHMARK_METRICS {
+            let err = benchmark_record("maya-stream", &without(&[name])).unwrap_err();
+            assert!(err.contains(name), "{name}: {err}");
+        }
+
+        // A workload without the simulator metrics (maya-occupancy) reports
+        // only the ones every workload has.
+        let sim: Vec<&str> = BENCHMARK_METRICS[EVERY_WORKLOAD..]
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        let r = benchmark_record("maya-occupancy", &without(&sim)).unwrap();
+        assert_eq!(r.metrics.len(), EVERY_WORKLOAD);
+
+        let text_only = MAYA_STREAM_OUTPUT.rsplit_once('\n').unwrap().0;
+        for bad in ["", "llc_calls_per_s 1 calls/s", text_only, "{}"] {
+            assert!(benchmark_record("maya-stream", bad).is_err(), "{bad:?}");
+        }
+        let zero =
+            MAYA_STREAM_OUTPUT.replace("sim.l1_ns_per_lookup 65.", "sim.l1_ns_per_lookup 0 65.");
+        assert!(benchmark_record("maya-stream", &zero).is_err());
+    }
+
+    #[test]
+    fn injected_slowdown_of_a_benchmark_record_fires() {
+        let r = benchmark_record("maya-stream", MAYA_STREAM_OUTPUT).unwrap();
+        let prior = vec![r.clone(); WINDOW];
+        assert!(check_regressions(&prior, &r).passed());
+        assert!(check_regressions(&prior, &r.scaled(0.9)).passed());
+        let out = check_regressions(&prior, &r.scaled(0.7));
+        assert_eq!(out.findings.len(), r.metrics.len());
+        assert!(out.findings.iter().all(|f| (f.ratio - 0.7).abs() < 1e-9));
     }
 
     #[test]

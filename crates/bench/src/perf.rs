@@ -107,7 +107,7 @@ pub fn run_mix_with(
     let cfg = tweak(system_config(cores, scale));
     let llc = design.build(cfg.baseline_llc_lines(), SEED);
     // Replay (benchmark, core, seed) streams through the thread-local
-    // trace cache: experiment grids and diag run the same mix once per
+    // trace cache: experiment grids run the same mix once per
     // design, and only the first synthesizes the trace. Replay cursors are
     // byte-identical to fresh generators (pinned by the workloads twin
     // tests), so results are unchanged.

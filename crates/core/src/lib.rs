@@ -29,7 +29,6 @@
 mod baseline;
 mod cache;
 mod ceaser;
-pub mod coherence;
 mod decoupled;
 mod fullassoc;
 pub mod maya;

@@ -1,7 +1,7 @@
 //! Block-granular trace replay cache.
 //!
-//! Experiment grids (`diag`, the experiment harness, weighted-speedup
-//! "alone" runs) evaluate several cache designs against the *same*
+//! Experiment grids (the experiment harness, weighted-speedup "alone"
+//! runs) evaluate several cache designs against the *same*
 //! `(benchmark, core, seed)` access stream. Re-synthesizing that stream
 //! once per design is pure waste: the generators are deterministic, so the
 //! second and later consumers can replay a recorded copy instead of paying
@@ -117,7 +117,8 @@ impl Default for TraceCache {
 }
 
 /// Default [`TraceCache::max_buffered`]: ~6M accesses ≈ 144 MB, enough for
-/// one full diag-scale benchmark across 8 cores with headroom.
+/// one benchmark at 300k + 900k instructions per core across 8 cores, with
+/// headroom.
 pub const DEFAULT_MAX_BUFFERED: usize = 6_000_000;
 
 impl TraceCache {

@@ -1,5 +1,7 @@
-//! Diag/experiment grids replay one recorded trace per `(benchmark, core,
-//! seed)` stream instead of re-synthesizing it for every design row.
+//! Experiment grids replay one recorded trace per `(benchmark, core, seed)`
+//! stream instead of re-synthesizing it for every design row. (The file
+//! keeps its name from the retired `diag` calibration example, the first
+//! such grid.)
 //!
 //! The thread-local [`workloads::block::TraceCache`] is the mechanism;
 //! these tests pin the two claims the harness depends on: (a) running the
@@ -73,7 +75,7 @@ fn design_rows_share_recordings_and_streams() {
     assert_eq!(fresh, row_hashes[0], "replay diverged from fresh generator");
 }
 
-/// The real diag path: `run_mix` for baseline, Mirage, and Maya on one
+/// The real experiment path: `run_mix` for baseline, Mirage, and Maya on one
 /// mix generates each core's trace once and replays it for the other two
 /// design rows — and the rows agree on everything upstream of the LLC.
 #[test]
