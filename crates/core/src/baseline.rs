@@ -7,12 +7,14 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use maya_obs::{EventKind, EvictionCause, ProbeHandle};
+use maya_obs::{EvictionCause, ProbeHandle};
 
 use crate::cache::{stuck_tag_bit, CacheModel, FaultKind};
 use crate::replacement::{Policy, ReplacementState};
 use crate::storage::{meta, TagArena};
-use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
+use crate::types::{
+    AccessEvent, AccessKind, CacheStats, DomainId, Recorder, Request, Response, Victim, Writebacks,
+};
 
 /// How the cache is divided among security domains.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,10 +81,9 @@ pub struct SetAssocCache {
     /// built with zero data entries).
     lines: TagArena,
     repl: ReplacementState,
-    stats: CacheStats,
+    rec: Recorder,
     rng: SmallRng,
     set_mask: u64,
-    probe: ProbeHandle,
 }
 
 impl SetAssocCache {
@@ -119,10 +120,9 @@ impl SetAssocCache {
         Self {
             lines: TagArena::new(config.sets * config.ways, 0),
             repl: ReplacementState::new(config.policy, config.sets, config.ways),
-            stats: CacheStats::default(),
+            rec: Recorder::default(),
             rng: SmallRng::seed_from_u64(config.seed),
             set_mask: config.sets as u64 - 1,
-            probe: ProbeHandle::none(),
             config,
         }
     }
@@ -191,34 +191,26 @@ impl SetAssocCache {
             .map(|i| i - self.line_index(set, 0))
     }
 
-    fn evict(&mut self, set: usize, way: usize, requester: DomainId, wb: &mut Writebacks) {
-        let idx = self.line_index(set, way);
+    /// Invalidates line `idx`, recording its eviction for `cause`.
+    fn evict(
+        &mut self,
+        idx: usize,
+        cause: EvictionCause,
+        requester: DomainId,
+        wb: &mut Writebacks,
+    ) {
         debug_assert!(self.valid(idx));
-        let tag = self.lines.tag(idx);
-        let dirty = self.dirty(idx);
-        let reused = self.reused(idx);
-        if dirty {
-            self.stats.writebacks_out += 1;
-            wb.push(tag);
-        }
-        if reused {
-            self.stats.reused_evictions += 1;
-        } else {
-            self.stats.dead_evictions += 1;
-        }
-        if self.domain_of(idx) != requester {
-            self.stats.cross_domain_evictions += 1;
-        }
-        self.lines.meta_and(idx, !meta::VALID);
-        self.probe.emit_with(|| EventKind::Eviction {
-            line: tag,
-            cause: EvictionCause::Replacement,
+        let victim = Victim {
+            owner: self.domain_of(idx),
             had_data: true,
-            dirty,
-            reused,
+            dirty: self.dirty(idx),
+            reused: self.reused(idx),
             downgraded: false,
-            skew: 0,
-        });
+        };
+        self.lines.meta_and(idx, !meta::VALID);
+        let lines = &self.lines;
+        self.rec
+            .evict(victim, cause, requester, wb, || (lines.tag(idx), 0));
     }
 
     fn fill(&mut self, set: usize, line: u64, req: &Request, wb: &mut Writebacks) {
@@ -234,7 +226,8 @@ impl SetAssocCache {
                 let victim = self.repl.choose_victim(set, &mut self.rng, |w| {
                     (first_way..first_way + n_ways).contains(&w)
                 });
-                self.evict(set, victim, req.domain, wb);
+                let idx = self.line_index(set, victim);
+                self.evict(idx, EvictionCause::Replacement, req.domain, wb);
                 victim
             }
         };
@@ -251,22 +244,13 @@ impl SetAssocCache {
         // real traces) have exactly one demand reuse per prefetched line,
         // which distant insertion would systematically sacrifice.
         self.repl.on_fill(set, way);
-        self.stats.data_fills += 1;
-        self.stats.tag_fills += 1;
-        self.probe.emit_with(|| EventKind::Fill {
-            line,
-            tag_only: false,
-            skew: 0,
-        });
+        self.rec.fill(line, false, || 0);
     }
 }
 
 impl CacheModel for SetAssocCache {
     fn access(&mut self, req: Request) -> Response {
-        match req.kind {
-            AccessKind::Read | AccessKind::Prefetch => self.stats.reads += 1,
-            AccessKind::Writeback => self.stats.writebacks_in += 1,
-        }
+        self.rec.request(req.kind);
         let set = self.set_of(req.line, req.domain);
         let mut wb = Writebacks::none();
         if let Some(way) = self.find(set, req.line, req.domain) {
@@ -286,18 +270,14 @@ impl CacheModel for SetAssocCache {
                 }
                 AccessKind::Prefetch => {}
             }
-            self.stats.data_hits += 1;
-            let line = req.line;
-            self.probe.emit_with(|| EventKind::Hit { line });
+            self.rec.hit(req.line);
             return Response {
                 event: AccessEvent::DataHit,
                 writebacks: wb,
                 sae: false,
             };
         }
-        self.stats.tag_misses += 1;
-        let line = req.line;
-        self.probe.emit_with(|| EventKind::Miss { line });
+        self.rec.miss(req.line);
         self.fill(set, req.line, &req, &mut wb);
         Response {
             event: AccessEvent::Miss,
@@ -308,37 +288,20 @@ impl CacheModel for SetAssocCache {
 
     fn flush_line(&mut self, line: u64, domain: DomainId) -> bool {
         let set = self.set_of(line, domain);
-        if let Some(way) = self.find(set, line, domain) {
-            let idx = self.line_index(set, way);
-            // clflush semantics: a dirty line is written back, not dropped.
-            if self.dirty(idx) {
-                self.stats.writebacks_out += 1;
-            }
-            let tag = self.lines.tag(idx);
-            let dirty = self.dirty(idx);
-            let reused = self.reused(idx);
-            self.lines.meta_and(idx, !meta::VALID);
-            self.stats.flushes += 1;
-            self.probe.emit_with(|| EventKind::Eviction {
-                line: tag,
-                cause: EvictionCause::Flush,
-                had_data: true,
-                dirty,
-                reused,
-                downgraded: false,
-                skew: 0,
-            });
-            true
-        } else {
-            false
-        }
+        let Some(way) = self.find(set, line, domain) else {
+            return false;
+        };
+        // clflush semantics: a dirty line is written back, not dropped.
+        let idx = self.line_index(set, way);
+        self.evict(idx, EvictionCause::Flush, domain, &mut Writebacks::none());
+        true
     }
 
     fn flush_all(&mut self) {
         for i in 0..self.lines.tag_entries() {
             self.lines.meta_and(i, !meta::VALID);
         }
-        self.probe.emit(EventKind::FlushAll);
+        self.rec.flush_all();
     }
 
     fn probe(&self, line: u64, domain: DomainId) -> bool {
@@ -347,11 +310,11 @@ impl CacheModel for SetAssocCache {
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.rec.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.rec.reset();
     }
 
     fn extra_latency(&self) -> u32 {
@@ -371,7 +334,7 @@ impl CacheModel for SetAssocCache {
     }
 
     fn set_probe(&mut self, probe: ProbeHandle) {
-        self.probe = probe;
+        self.rec.set_probe(probe);
     }
 
     fn audit(&self) -> Result<(), String> {

@@ -20,7 +20,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use maya_obs::{EventKind, EvictionCause, ProbeHandle};
+use maya_obs::{EvictionCause, ProbeHandle};
 use prince_cipher::{IndexFunction, DEFAULT_MEMO_SLOTS};
 
 use crate::cache::{CacheModel, FaultKind};
@@ -147,7 +147,6 @@ impl CeaserCache {
             let dirty = (0..self.arr.lines.len())
                 .filter(|&i| self.arr.live(i) && self.arr.lines[i].dirty)
                 .count() as u64;
-            self.arr.stats.writebacks_out += dirty;
             self.arr.epoch = self.arr.epoch.wrapping_add(1);
             self.remaps += 1;
             // The fresh IndexFunction starts with an empty memo, so no
@@ -158,7 +157,7 @@ impl CeaserCache {
                 self.config.sets_per_skew,
             )
             .with_memo(DEFAULT_MEMO_SLOTS);
-            self.arr.probe.emit(EventKind::EpochRekey);
+            self.arr.rec.rekey(dirty);
         }
     }
 }
@@ -204,11 +203,11 @@ impl CacheModel for CeaserCache {
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.arr.stats
+        self.arr.rec.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.arr.stats.reset();
+        self.arr.rec.reset();
     }
 
     fn extra_latency(&self) -> u32 {
@@ -228,7 +227,7 @@ impl CacheModel for CeaserCache {
     }
 
     fn set_probe(&mut self, probe: ProbeHandle) {
-        self.arr.probe = probe;
+        self.arr.rec.set_probe(probe);
     }
 
     fn audit(&self) -> Result<(), String> {

@@ -5,11 +5,11 @@
 //! are linked to their tags by forward/reverse pointers, and global random
 //! eviction over the whole data store. [`DecoupledStore`] owns that shared
 //! part: the geometry, the index function, the [`TagArena`], the
-//! [`CacheStats`], the replacement RNG and the observation handles, plus
-//! the operations both designs run the same way — lookup, the accounting
-//! of a released data entry, the random data-slot draw, the data-store
-//! half of the audit, the pointer, tag-bit and interrupted-re-key faults,
-//! and the data-store rebuild that ends a quarantine.
+//! [`Recorder`], the replacement RNG and the profiler, plus the operations
+//! both designs run the same way — lookup, the recording of an evicted
+//! tag, the random data-slot draw, the data-store half of the audit, the
+//! pointer, tag-bit and interrupted-re-key faults, and the data-store
+//! rebuild that ends a quarantine.
 //!
 //! Each design keeps its own policy on top. Maya has its priority-0 and
 //! priority-1 states, the priority-0 list with global tag eviction,
@@ -20,15 +20,15 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use maya_obs::{Component, EventKind, ProbeHandle, ProfileHandle};
+use maya_obs::{Component, EvictionCause, ProfileHandle};
 use prince_cipher::{IndexFunction, DEFAULT_MEMO_SLOTS, MAX_SKEWS};
 
 use crate::cache::stuck_tag_bit;
 use crate::storage::{meta, TagArena, NONE};
-use crate::types::{CacheStats, DomainId, Writebacks};
+use crate::types::{DomainId, Recorder, Victim, Writebacks};
 
-/// The tag/data store, index function, statistics, replacement RNG and
-/// observation handles of one decoupled design.
+/// The tag/data store, index function, recorder, replacement RNG and
+/// profiler of one decoupled design.
 #[derive(Debug, Clone)]
 pub(crate) struct DecoupledStore {
     pub(crate) skews: usize,
@@ -37,9 +37,8 @@ pub(crate) struct DecoupledStore {
     pub(crate) index: IndexFunction,
     /// Struct-of-arrays tag/data store (see [`crate::storage`]).
     pub(crate) arena: TagArena,
-    pub(crate) stats: CacheStats,
+    pub(crate) rec: Recorder,
     pub(crate) rng: SmallRng,
-    pub(crate) probe: ProbeHandle,
     pub(crate) profiler: ProfileHandle,
 }
 
@@ -103,9 +102,8 @@ impl DecoupledStore {
             index: IndexFunction::from_seed(seed, skews, sets_per_skew)
                 .with_memo(DEFAULT_MEMO_SLOTS),
             arena: TagArena::new(skews * sets_per_skew * ways_per_skew, data_entries),
-            stats: CacheStats::default(),
+            rec: Recorder::default(),
             rng: SmallRng::seed_from_u64(seed ^ rng_salt),
-            probe: ProbeHandle::none(),
             profiler: ProfileHandle::none(),
         }
     }
@@ -121,13 +119,13 @@ impl DecoupledStore {
         // new epoch's PRINCE work keeps landing in the same span tree.
         self.index.set_profiler(self.profiler.clone());
         self.flush_all();
-        self.probe.emit(EventKind::EpochRekey);
+        self.rec.rekey(0);
     }
 
     /// Invalidates every tag and frees every data slot.
     pub(crate) fn flush_all(&mut self) {
         self.arena.reset();
-        self.probe.emit(EventKind::FlushAll);
+        self.rec.flush_all();
     }
 
     /// Attaches `profiler` to the store and its index function.
@@ -140,12 +138,6 @@ impl DecoupledStore {
     #[inline]
     pub(crate) fn base(&self, skew: usize, set: usize) -> usize {
         (skew * self.sets_per_skew + set) * self.ways_per_skew
-    }
-
-    /// The skew a flat tag index lives in.
-    #[inline]
-    pub(crate) fn skew_of(&self, i: usize) -> u8 {
-        (i / (self.sets_per_skew * self.ways_per_skew)) as u8
     }
 
     /// `(skew, set)` a flat tag index belongs to (inverse of [`base`]).
@@ -220,34 +212,42 @@ impl DecoupledStore {
             .invalid_ways(self.base(skew, set), self.ways_per_skew)
     }
 
-    /// Releases data slot `d` of tag `tag_idx`, evicted on behalf of
-    /// `requester`: `dirty` data is written back (and pushed to `wb`), the
-    /// release is counted as a reused or dead eviction and, when the tag
-    /// belongs to another domain, as a cross-domain one. The tag itself is
-    /// left to the caller. `d` is an argument because a global eviction
-    /// frees the slot it drew, which differs from the tag's forward pointer
-    /// once that pointer is corrupted.
-    pub(crate) fn release_data(
+    /// Tag `i` as the victim of an eviction that releases its data, which
+    /// is `dirty` or not.
+    pub(crate) fn victim(&self, i: usize, dirty: bool) -> Victim {
+        Victim {
+            owner: DomainId(self.arena.sdid(i)),
+            had_data: true,
+            dirty,
+            reused: self.reused(i),
+            downgraded: false,
+        }
+    }
+
+    /// Records the install of `line` in tag `i` (see [`Recorder::fill`]).
+    #[inline]
+    pub(crate) fn record_fill(&mut self, i: usize, line: u64, tag_only: bool) {
+        let tags_per_skew = self.sets_per_skew * self.ways_per_skew;
+        self.rec.fill(line, tag_only, || (i / tags_per_skew) as u8);
+    }
+
+    /// Records the eviction of tag `i`, described by `v`, for `cause` on
+    /// behalf of `requester` (see [`Recorder::evict`]). The line address is
+    /// read from the tag lane only when the recorder needs it.
+    #[inline]
+    pub(crate) fn record_eviction(
         &mut self,
-        tag_idx: usize,
-        d: u32,
-        dirty: bool,
+        i: usize,
+        v: Victim,
+        cause: EvictionCause,
         requester: DomainId,
         wb: &mut Writebacks,
     ) {
-        if dirty {
-            self.stats.writebacks_out += 1;
-            wb.push(self.arena.tag(tag_idx));
-        }
-        if self.reused(tag_idx) {
-            self.stats.reused_evictions += 1;
-        } else {
-            self.stats.dead_evictions += 1;
-        }
-        if self.arena.sdid(tag_idx) != requester.0 {
-            self.stats.cross_domain_evictions += 1;
-        }
-        self.arena.data_free(d);
+        let tags_per_skew = self.sets_per_skew * self.ways_per_skew;
+        let arena = &self.arena;
+        self.rec.evict(v, cause, requester, wb, || {
+            (arena.tag(i), (i / tags_per_skew) as u8)
+        });
     }
 
     /// The victim of a global random data eviction: a uniformly random

@@ -9,10 +9,12 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use maya_obs::{EventKind, EvictionCause, ProbeHandle};
+use maya_obs::{EvictionCause, ProbeHandle};
 
 use crate::cache::{CacheModel, FaultKind};
-use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
+use crate::types::{
+    AccessEvent, AccessKind, CacheStats, DomainId, Recorder, Request, Response, Victim, Writebacks,
+};
 
 #[derive(Debug, Clone, Copy)]
 struct Line {
@@ -45,9 +47,8 @@ pub struct FullyAssocCache {
     lines: Vec<Line>,
     /// (line, domain) -> index in `lines`.
     lookup: BTreeMap<(u64, DomainId), usize>,
-    stats: CacheStats,
+    rec: Recorder,
     rng: SmallRng,
-    probe: ProbeHandle,
 }
 
 impl FullyAssocCache {
@@ -62,31 +63,20 @@ impl FullyAssocCache {
             capacity,
             lines: Vec::with_capacity(capacity),
             lookup: BTreeMap::new(),
-            stats: CacheStats::default(),
+            rec: Recorder::default(),
             rng: SmallRng::seed_from_u64(seed),
-            probe: ProbeHandle::none(),
         }
     }
 
-    fn evict_random(&mut self, requester: DomainId, wb: &mut Writebacks) {
-        let idx = self.rng.gen_range(0..self.lines.len());
+    /// Removes the line at `idx`, recording its eviction for `cause`.
+    fn evict(
+        &mut self,
+        idx: usize,
+        cause: EvictionCause,
+        requester: DomainId,
+        wb: &mut Writebacks,
+    ) {
         let victim = self.lines[idx];
-        if victim.dirty {
-            self.stats.writebacks_out += 1;
-            wb.push(victim.tag);
-        }
-        if victim.reused {
-            self.stats.reused_evictions += 1;
-        } else {
-            self.stats.dead_evictions += 1;
-        }
-        if victim.domain != requester {
-            self.stats.cross_domain_evictions += 1;
-        }
-        // Uniform random victim selection over the whole cache is the ideal
-        // global data eviction that Mirage and Maya approximate; count it
-        // under the same statistic so the designs compare like for like.
-        self.stats.global_data_evictions += 1;
         self.lookup.remove(&(victim.tag, victim.domain));
         let last = self.lines.len() - 1;
         self.lines.swap_remove(idx);
@@ -94,24 +84,20 @@ impl FullyAssocCache {
             let moved = self.lines[idx];
             self.lookup.insert((moved.tag, moved.domain), idx);
         }
-        self.probe.emit_with(|| EventKind::Eviction {
-            line: victim.tag,
-            cause: EvictionCause::GlobalData,
+        let v = Victim {
+            owner: victim.domain,
             had_data: true,
             dirty: victim.dirty,
             reused: victim.reused,
             downgraded: false,
-            skew: 0,
-        });
+        };
+        self.rec.evict(v, cause, requester, wb, || (victim.tag, 0));
     }
 }
 
 impl CacheModel for FullyAssocCache {
     fn access(&mut self, req: Request) -> Response {
-        match req.kind {
-            AccessKind::Read | AccessKind::Prefetch => self.stats.reads += 1,
-            AccessKind::Writeback => self.stats.writebacks_in += 1,
-        }
+        self.rec.request(req.kind);
         let mut wb = Writebacks::none();
         if let Some(&idx) = self.lookup.get(&(req.line, req.domain)) {
             match req.kind {
@@ -120,20 +106,21 @@ impl CacheModel for FullyAssocCache {
                 AccessKind::Writeback => self.lines[idx].dirty = true,
                 AccessKind::Prefetch => {}
             }
-            self.stats.data_hits += 1;
-            let line = req.line;
-            self.probe.emit_with(|| EventKind::Hit { line });
+            self.rec.hit(req.line);
             return Response {
                 event: AccessEvent::DataHit,
                 writebacks: wb,
                 sae: false,
             };
         }
-        self.stats.tag_misses += 1;
-        let line = req.line;
-        self.probe.emit_with(|| EventKind::Miss { line });
+        self.rec.miss(req.line);
         if self.lines.len() == self.capacity {
-            self.evict_random(req.domain, &mut wb);
+            // Uniform random victim selection over the whole cache is the
+            // ideal global data eviction that Mirage and Maya approximate;
+            // count it under the same cause so the designs compare like
+            // for like.
+            let idx = self.rng.gen_range(0..self.lines.len());
+            self.evict(idx, EvictionCause::GlobalData, req.domain, &mut wb);
         }
         let idx = self.lines.len();
         self.lines.push(Line {
@@ -143,13 +130,7 @@ impl CacheModel for FullyAssocCache {
             reused: false,
         });
         self.lookup.insert((req.line, req.domain), idx);
-        self.stats.tag_fills += 1;
-        self.stats.data_fills += 1;
-        self.probe.emit_with(|| EventKind::Fill {
-            line,
-            tag_only: false,
-            skew: 0,
-        });
+        self.rec.fill(req.line, false, || 0);
         Response {
             event: AccessEvent::Miss,
             writebacks: wb,
@@ -158,37 +139,17 @@ impl CacheModel for FullyAssocCache {
     }
 
     fn flush_line(&mut self, line: u64, domain: DomainId) -> bool {
-        if let Some(idx) = self.lookup.remove(&(line, domain)) {
-            let victim = self.lines[idx];
-            if victim.dirty {
-                self.stats.writebacks_out += 1;
-            }
-            let last = self.lines.len() - 1;
-            self.lines.swap_remove(idx);
-            if idx < last {
-                let moved = self.lines[idx];
-                self.lookup.insert((moved.tag, moved.domain), idx);
-            }
-            self.stats.flushes += 1;
-            self.probe.emit_with(|| EventKind::Eviction {
-                line: victim.tag,
-                cause: EvictionCause::Flush,
-                had_data: true,
-                dirty: victim.dirty,
-                reused: victim.reused,
-                downgraded: false,
-                skew: 0,
-            });
-            true
-        } else {
-            false
-        }
+        let Some(&idx) = self.lookup.get(&(line, domain)) else {
+            return false;
+        };
+        self.evict(idx, EvictionCause::Flush, domain, &mut Writebacks::none());
+        true
     }
 
     fn flush_all(&mut self) {
         self.lines.clear();
         self.lookup.clear();
-        self.probe.emit(EventKind::FlushAll);
+        self.rec.flush_all();
     }
 
     fn probe(&self, line: u64, domain: DomainId) -> bool {
@@ -196,11 +157,11 @@ impl CacheModel for FullyAssocCache {
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.rec.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.rec.reset();
     }
 
     fn extra_latency(&self) -> u32 {
@@ -216,7 +177,7 @@ impl CacheModel for FullyAssocCache {
     }
 
     fn set_probe(&mut self, probe: ProbeHandle) {
-        self.probe = probe;
+        self.rec.set_probe(probe);
     }
 
     fn audit(&self) -> Result<(), String> {

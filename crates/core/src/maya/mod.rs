@@ -33,13 +33,15 @@ pub use state::{transition, InvalidTransition, TagEvent, TagState};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use maya_obs::{Component, EventKind, EvictionCause, ProbeHandle, ProfileHandle};
+use maya_obs::{Component, EvictionCause, ProbeHandle, ProfileHandle};
 
 use crate::cache::{CacheModel, FaultKind};
 use crate::decoupled::{CandidateSets, DecoupledStore};
 use crate::mirage::SkewSelection;
 use crate::storage::{key, meta, NONE};
-use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
+use crate::types::{
+    AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Victim, Writebacks,
+};
 
 /// Packed meta-lane bits for a tag state (see [`crate::storage::meta`]).
 #[inline]
@@ -194,35 +196,30 @@ impl MayaCache {
         let _repl = self.store.profiler.span(Component::Replacement);
         let (d, tag_idx) = self.store.data_victim();
         let state = self.state(tag_idx);
-        let reused = self.store.reused(tag_idx);
         debug_assert!(state.has_data());
-        let dirty = state == TagState::Priority1Dirty;
-        self.store.release_data(tag_idx, d, dirty, requester, wb);
+        let v = Victim {
+            downgraded: true,
+            ..self
+                .store
+                .victim(tag_idx, state == TagState::Priority1Dirty)
+        };
+        // Free the drawn slot, not the tag's forward pointer: the two
+        // differ once that pointer is corrupted.
+        self.store.arena.data_free(d);
         self.set_state_checked(tag_idx, TagEvent::GlobalDataEviction, TagState::Priority0);
         let s = &mut self.store;
         s.arena.set_fptr(tag_idx, NONE);
         s.arena.p0_insert(tag_idx);
-        s.stats.global_data_evictions += 1;
-        // The line address is read inside the closure so a detached probe
-        // never touches the (cold) tag lane; nothing between here and the
-        // state change above writes it, so an attached probe sees the same
-        // value the eager read produced.
-        s.probe.emit_with(|| EventKind::Eviction {
-            line: s.arena.tag(tag_idx),
-            cause: EvictionCause::GlobalData,
-            had_data: true,
-            dirty,
-            reused,
-            downgraded: true,
-            skew: s.skew_of(tag_idx),
-        });
+        // Nothing above writes the tag lane, so the recorder's lazy line
+        // read sees the evicted line.
+        s.record_eviction(tag_idx, v, EvictionCause::GlobalData, requester, wb);
     }
 
     /// Global random tag eviction: a uniformly random priority-0 entry is
     /// invalidated. Runs only when the priority-0 population exceeds its
     /// steady-state target (so the reuse ways fill up first, as in the
     /// paper).
-    fn global_tag_eviction_if_needed(&mut self) {
+    fn global_tag_eviction_if_needed(&mut self, requester: DomainId, wb: &mut Writebacks) {
         if self.store.arena.p0_list.len() <= self.config.p0_capacity() {
             return;
         }
@@ -231,18 +228,13 @@ impl MayaCache {
         let victim = s.arena.p0_list[s.rng.gen_range(0..s.arena.p0_list.len())] as usize;
         s.arena.p0_remove(victim);
         self.set_state_checked(victim, TagEvent::GlobalTagEviction, TagState::Invalid);
-        let s = &mut self.store;
-        s.stats.global_tag_evictions += 1;
-        // Lazy line read: see `global_data_eviction`.
-        s.probe.emit_with(|| EventKind::Eviction {
-            line: s.arena.tag(victim),
-            cause: EvictionCause::GlobalTag,
+        let v = Victim {
             had_data: false,
-            dirty: false,
             reused: false,
-            downgraded: false,
-            skew: s.skew_of(victim),
-        });
+            ..self.store.victim(victim, false)
+        };
+        let s = &mut self.store;
+        s.record_eviction(victim, v, EvictionCause::GlobalTag, requester, wb);
     }
 
     // --- fills --------------------------------------------------------------
@@ -294,7 +286,6 @@ impl MayaCache {
         // Set-associative eviction: every way of the chosen set is valid
         // (and, with load-aware selection, so is the other skew's set).
         // Evict a random priority-0 way if one exists, else a random way.
-        s.stats.saes += 1;
         // Count-then-select keeps the pick allocation-free while drawing the
         // exact RNG value the old Vec-collecting code drew (the count equals
         // the collected length). Priority-0 in the packed key lane: valid,
@@ -327,30 +318,24 @@ impl MayaCache {
         wb: &mut Writebacks,
     ) {
         let state = self.state(tag_idx);
-        let reused = self.store.reused(tag_idx);
+        let v = Victim {
+            had_data: state.has_data(),
+            ..self
+                .store
+                .victim(tag_idx, state == TagState::Priority1Dirty)
+        };
         match state {
             TagState::Invalid => {}
             TagState::Priority0 => self.store.arena.p0_remove(tag_idx),
             TagState::Priority1Clean | TagState::Priority1Dirty => {
                 let d = self.store.arena.fptr(tag_idx);
-                let dirty = state == TagState::Priority1Dirty;
-                self.store.release_data(tag_idx, d, dirty, requester, wb);
+                self.store.arena.data_free(d);
             }
         }
         if state.is_valid() {
             // SAE evictions and flushes are the same protocol edge.
             self.set_state_checked(tag_idx, TagEvent::Flush, TagState::Invalid);
-            // Lazy line read: see `global_data_eviction`.
-            let s = &self.store;
-            s.probe.emit_with(|| EventKind::Eviction {
-                line: s.arena.tag(tag_idx),
-                cause,
-                had_data: state.has_data(),
-                dirty: state == TagState::Priority1Dirty,
-                reused,
-                downgraded: false,
-                skew: s.skew_of(tag_idx),
-            });
+            self.store.record_eviction(tag_idx, v, cause, requester, wb);
         }
         self.store.arena.set_fptr(tag_idx, NONE);
     }
@@ -369,13 +354,8 @@ impl MayaCache {
         s.arena.install_tag(idx, line, meta::VALID, domain.0);
         s.arena.set_fptr(idx, NONE);
         s.arena.p0_insert(idx);
-        s.stats.tag_fills += 1;
-        s.probe.emit_with(|| EventKind::Fill {
-            line,
-            tag_only: true,
-            skew: s.skew_of(idx),
-        });
-        self.global_tag_eviction_if_needed();
+        s.record_fill(idx, line, true);
+        self.global_tag_eviction_if_needed(domain, wb);
         sae
     }
 
@@ -402,14 +382,8 @@ impl MayaCache {
             .install_tag(idx, line, meta::VALID | meta::DATA | meta::DIRTY, domain.0);
         let d = s.arena.data_alloc(idx);
         s.arena.set_fptr(idx, d);
-        s.stats.tag_fills += 1;
-        s.stats.data_fills += 1;
-        s.probe.emit_with(|| EventKind::Fill {
-            line,
-            tag_only: false,
-            skew: s.skew_of(idx),
-        });
-        self.global_tag_eviction_if_needed();
+        s.record_fill(idx, line, false);
+        self.global_tag_eviction_if_needed(domain, wb);
         sae
     }
 
@@ -431,20 +405,13 @@ impl MayaCache {
         let d = s.arena.data_alloc(tag_idx);
         s.arena.set_fptr(tag_idx, d);
         s.arena.meta_and(tag_idx, !meta::REUSED);
-        s.stats.data_fills += 1;
-        // Lazy line read: see `global_data_eviction`.
-        s.probe.emit_with(|| EventKind::Promotion {
-            line: s.arena.tag(tag_idx),
-        });
+        s.rec.promote(|| s.arena.tag(tag_idx));
     }
 }
 
 impl CacheModel for MayaCache {
     fn access(&mut self, req: Request) -> Response {
-        match req.kind {
-            AccessKind::Read | AccessKind::Prefetch => self.store.stats.reads += 1,
-            AccessKind::Writeback => self.store.stats.writebacks_in += 1,
-        }
+        self.store.rec.request(req.kind);
         let mut wb = Writebacks::none();
         let mut c = CandidateSets::new(req.line);
         if let Some(i) = self.store.find_in(&mut c, req.domain) {
@@ -458,9 +425,7 @@ impl CacheModel for MayaCache {
                         }
                         AccessKind::Prefetch => {}
                     }
-                    self.store.stats.data_hits += 1;
-                    let line = req.line;
-                    self.store.probe.emit_with(|| EventKind::Hit { line });
+                    self.store.rec.hit(req.line);
                     return Response {
                         event: AccessEvent::DataHit,
                         writebacks: wb,
@@ -479,11 +444,7 @@ impl CacheModel for MayaCache {
                             sae: false,
                         };
                     }
-                    self.store.stats.tag_only_hits += 1;
-                    let line = req.line;
-                    self.store
-                        .probe
-                        .emit_with(|| EventKind::TagOnlyHit { line });
+                    self.store.rec.tag_only_hit(req.line);
                     self.promote(i, req.kind, &mut wb);
                     return Response {
                         event: AccessEvent::TagHitPromoted,
@@ -509,9 +470,7 @@ impl CacheModel for MayaCache {
                 sae: false,
             };
         }
-        self.store.stats.tag_misses += 1;
-        let line = req.line;
-        self.store.probe.emit_with(|| EventKind::Miss { line });
+        self.store.rec.miss(req.line);
         let sae = match req.kind {
             AccessKind::Read | AccessKind::Prefetch => self.install_p0(&mut c, req.domain, &mut wb),
             AccessKind::Writeback => self.install_p1_dirty(&mut c, req.domain, &mut wb),
@@ -527,9 +486,7 @@ impl CacheModel for MayaCache {
         let Some(i) = self.store.find(line, domain) else {
             return false;
         };
-        // Maya counts a flushed line's reuse like any other eviction's.
         self.evict_any(i, domain, EvictionCause::Flush, &mut Writebacks::none());
-        self.store.stats.flushes += 1;
         true
     }
 
@@ -545,11 +502,11 @@ impl CacheModel for MayaCache {
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.store.stats
+        self.store.rec.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.store.stats.reset();
+        self.store.rec.reset();
     }
 
     fn extra_latency(&self) -> u32 {
@@ -568,7 +525,7 @@ impl CacheModel for MayaCache {
     }
 
     fn set_probe(&mut self, probe: ProbeHandle) {
-        self.store.probe = probe;
+        self.store.rec.set_probe(probe);
     }
 
     fn set_profiler(&mut self, profiler: ProfileHandle) {

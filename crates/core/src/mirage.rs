@@ -19,7 +19,7 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use maya_obs::{Component, EventKind, EvictionCause, ProbeHandle, ProfileHandle};
+use maya_obs::{Component, EvictionCause, ProbeHandle, ProfileHandle};
 
 use crate::cache::{CacheModel, FaultKind};
 use crate::decoupled::{CandidateSets, DecoupledStore};
@@ -161,9 +161,8 @@ impl MirageCache {
         self.store.arena.meta(i) & meta::DIRTY != 0
     }
 
-    /// Invalidates the tag at `tag_idx` and releases the data entry its
-    /// forward pointer names, recording writeback/reuse/interference
-    /// statistics.
+    /// Invalidates the tag at `tag_idx`, releases the data entry its
+    /// forward pointer names, and records the eviction.
     fn evict_tag(
         &mut self,
         tag_idx: usize,
@@ -172,25 +171,13 @@ impl MirageCache {
         wb: &mut Writebacks,
     ) {
         debug_assert!(self.store.valid(tag_idx));
-        let dirty = self.dirty(tag_idx);
-        let reused = self.store.reused(tag_idx);
-        let d = self.store.arena.fptr(tag_idx);
-        self.store.release_data(tag_idx, d, dirty, requester, wb);
-        self.store.arena.meta_and(tag_idx, !meta::VALID);
-        // Lazy line read: when no probe is attached the closure never runs,
-        // so the eviction costs no cold tag-lane access. The tag word itself
-        // is untouched by the invalidation above, so an attached probe reads
-        // the same value the eager load produced.
-        let s = &self.store;
-        s.probe.emit_with(|| EventKind::Eviction {
-            line: s.arena.tag(tag_idx),
-            cause,
-            had_data: true,
-            dirty,
-            reused,
-            downgraded: false,
-            skew: s.skew_of(tag_idx),
-        });
+        let v = self.store.victim(tag_idx, self.dirty(tag_idx));
+        let s = &mut self.store;
+        s.arena.data_free(s.arena.fptr(tag_idx));
+        // The invalidation leaves the tag word alone, so the recorder's
+        // lazy line read sees the evicted line.
+        s.arena.meta_and(tag_idx, !meta::VALID);
+        s.record_eviction(tag_idx, v, cause, requester, wb);
     }
 
     /// Global random data eviction: evicts a uniformly random line from the
@@ -199,7 +186,6 @@ impl MirageCache {
         let _repl = self.store.profiler.span(Component::Replacement);
         let (_, tag_idx) = self.store.data_victim();
         self.evict_tag(tag_idx, requester, EvictionCause::GlobalData, wb);
-        self.store.stats.global_data_evictions += 1;
     }
 
     /// Chooses the target set for a fill of `c`'s line; returns
@@ -236,7 +222,6 @@ impl MirageCache {
         // Set-associative eviction: both candidate sets may be full (the
         // chosen one certainly is). Evict a random valid way of the chosen
         // set — the security-critical, address-correlated event.
-        self.store.stats.saes += 1;
         let way = self.store.rng.gen_range(0..ways);
         let idx = base + way;
         self.evict_tag(idx, requester, EvictionCause::Sae, wb);
@@ -246,10 +231,7 @@ impl MirageCache {
 
 impl CacheModel for MirageCache {
     fn access(&mut self, req: Request) -> Response {
-        match req.kind {
-            AccessKind::Read | AccessKind::Prefetch => self.store.stats.reads += 1,
-            AccessKind::Writeback => self.store.stats.writebacks_in += 1,
-        }
+        self.store.rec.request(req.kind);
         let mut wb = Writebacks::none();
         let mut c = CandidateSets::new(req.line);
         if let Some(i) = self.store.find_in(&mut c, req.domain) {
@@ -259,18 +241,14 @@ impl CacheModel for MirageCache {
                 AccessKind::Writeback => self.store.arena.meta_or(i, meta::DIRTY),
                 AccessKind::Prefetch => {}
             }
-            self.store.stats.data_hits += 1;
-            let line = req.line;
-            self.store.probe.emit_with(|| EventKind::Hit { line });
+            self.store.rec.hit(req.line);
             return Response {
                 event: AccessEvent::DataHit,
                 writebacks: wb,
                 sae: false,
             };
         }
-        self.store.stats.tag_misses += 1;
-        let line = req.line;
-        self.store.probe.emit_with(|| EventKind::Miss { line });
+        self.store.rec.miss(req.line);
         // Fill: free a data entry if the store is full, then place the tag.
         if self.store.arena.free_is_empty() {
             self.global_eviction(req.domain, &mut wb);
@@ -287,13 +265,7 @@ impl CacheModel for MirageCache {
             };
         s.arena.install_tag(tag_idx, req.line, m, req.domain.0);
         s.arena.set_fptr(tag_idx, data_idx);
-        s.stats.tag_fills += 1;
-        s.stats.data_fills += 1;
-        s.probe.emit_with(|| EventKind::Fill {
-            line,
-            tag_only: false,
-            skew: s.skew_of(tag_idx),
-        });
+        s.record_fill(tag_idx, req.line, false);
         Response {
             event: AccessEvent::Miss,
             writebacks: wb,
@@ -305,26 +277,7 @@ impl CacheModel for MirageCache {
         let Some(i) = self.store.find(line, domain) else {
             return false;
         };
-        // Mirage counts a flushed line's writeback but not its reuse.
-        let dirty = self.dirty(i);
-        let reused = self.store.reused(i);
-        let s = &mut self.store;
-        if dirty {
-            s.stats.writebacks_out += 1;
-        }
-        let d = s.arena.fptr(i);
-        s.arena.data_free(d);
-        s.arena.meta_and(i, !meta::VALID);
-        s.stats.flushes += 1;
-        s.probe.emit_with(|| EventKind::Eviction {
-            line,
-            cause: EvictionCause::Flush,
-            had_data: true,
-            dirty,
-            reused,
-            downgraded: false,
-            skew: s.skew_of(i),
-        });
+        self.evict_tag(i, domain, EvictionCause::Flush, &mut Writebacks::none());
         true
     }
 
@@ -337,11 +290,11 @@ impl CacheModel for MirageCache {
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.store.stats
+        self.store.rec.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.store.stats.reset();
+        self.store.rec.reset();
     }
 
     fn extra_latency(&self) -> u32 {
@@ -357,7 +310,7 @@ impl CacheModel for MirageCache {
     }
 
     fn set_probe(&mut self, probe: ProbeHandle) {
-        self.store.probe = probe;
+        self.store.rec.set_probe(probe);
     }
 
     fn set_profiler(&mut self, profiler: ProfileHandle) {

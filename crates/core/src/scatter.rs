@@ -138,11 +138,11 @@ impl CacheModel for ScatterCache {
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.arr.stats
+        self.arr.rec.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.arr.stats.reset();
+        self.arr.rec.reset();
     }
 
     fn extra_latency(&self) -> u32 {
@@ -159,7 +159,7 @@ impl CacheModel for ScatterCache {
     }
 
     fn set_probe(&mut self, probe: ProbeHandle) {
-        self.arr.probe = probe;
+        self.arr.rec.set_probe(probe);
     }
 
     fn audit(&self) -> Result<(), String> {

@@ -4,12 +4,11 @@
 //! All three keep one line per slot (valid bit, tag, owning domain, dirty
 //! and reused bits) in rows of `ways` slots behind a keyed index function,
 //! and they agree on everything that happens to a slot: the tag+domain
-//! lookup, the hit update, the victim's writeback and reuse/cross-domain
-//! accounting, the fill, the flushes, the home-set + duplicate audit and
-//! the line-level fault injections. [`LineArray`] owns that bookkeeping
-//! together with the designs' index function, [`CacheStats`] and
-//! [`ProbeHandle`]; each design keeps only its placement policy (which
-//! skew, which victim) and its own extra state.
+//! lookup, the hit update, the victim's eviction, the fill, the flushes,
+//! the home-set + duplicate audit and the line-level fault injections.
+//! [`LineArray`] owns that bookkeeping together with the designs' index
+//! function and [`Recorder`]; each design keeps only its placement policy
+//! (which skew, which victim) and its own extra state.
 //!
 //! Rows come in two layouts ([`Rows`]). A line may live in any slot of its
 //! home row in a skewed array (CEASER, Threshold), and in exactly one slot
@@ -26,11 +25,13 @@ use std::ops::Range;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use maya_obs::{EventKind, EvictionCause, ProbeHandle};
+use maya_obs::EvictionCause;
 use prince_cipher::{IndexFunction, MAX_SKEWS};
 
 use crate::cache::{stuck_tag_bit, FaultKind};
-use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
+use crate::types::{
+    AccessEvent, AccessKind, DomainId, Recorder, Request, Response, Victim, Writebacks,
+};
 
 /// One slot of the array.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,7 +56,7 @@ pub(crate) enum Rows {
     PerWay,
 }
 
-/// The line store, index function, statistics and probe of one design.
+/// The line store, index function and recorder of one design.
 #[derive(Debug, Clone)]
 pub(crate) struct LineArray {
     pub(crate) lines: Vec<Line>,
@@ -64,10 +65,7 @@ pub(crate) struct LineArray {
     pub(crate) index: IndexFunction,
     /// Current key epoch; lines installed under an older one are stale.
     pub(crate) epoch: u32,
-    pub(crate) stats: CacheStats,
-    pub(crate) probe: ProbeHandle,
-    /// Whether a flushed line also counts as a reused or dead eviction.
-    flushes_count_reuse: bool,
+    pub(crate) rec: Recorder,
 }
 
 /// The response to a request served from the array.
@@ -93,18 +91,8 @@ impl LineArray {
             ways,
             index,
             epoch: 0,
-            stats: CacheStats::default(),
-            probe: ProbeHandle::none(),
-            flushes_count_reuse: false,
+            rec: Recorder::default(),
         }
-    }
-
-    /// Counts flushed lines in `reused_evictions`/`dead_evictions` as well
-    /// as in `flushes` (Threshold's accounting; CEASER and ScatterCache
-    /// count only the flush).
-    pub(crate) fn counting_flushed_reuse(mut self) -> Self {
-        self.flushes_count_reuse = true;
-        self
     }
 
     /// The candidate slots of `set` in `skew`.
@@ -153,14 +141,9 @@ impl LineArray {
     /// line reused, a writeback marks it dirty, and the slot is returned.
     /// A miss is counted and reported, and returns `None`.
     pub(crate) fn lookup(&mut self, req: Request) -> Option<usize> {
-        match req.kind {
-            AccessKind::Read | AccessKind::Prefetch => self.stats.reads += 1,
-            AccessKind::Writeback => self.stats.writebacks_in += 1,
-        }
-        let line = req.line;
-        let Some(i) = self.find(line, req.domain) else {
-            self.stats.tag_misses += 1;
-            self.probe.emit_with(|| EventKind::Miss { line });
+        self.rec.request(req.kind);
+        let Some(i) = self.find(req.line, req.domain) else {
+            self.rec.miss(req.line);
             return None;
         };
         match req.kind {
@@ -168,15 +151,12 @@ impl LineArray {
             AccessKind::Writeback => self.lines[i].dirty = true,
             AccessKind::Prefetch => {}
         }
-        self.stats.data_hits += 1;
-        self.probe.emit_with(|| EventKind::Hit { line });
+        self.rec.hit(req.line);
         Some(i)
     }
 
-    /// Evicts the line in slot `i` on behalf of `requester`: a dirty line
-    /// is written back (and pushed to `wb`), the eviction is counted as
-    /// reused or dead, cross-domain, and by its `cause`, and the slot is
-    /// invalidated and reported.
+    /// Invalidates slot `i` and records its eviction for `cause` on behalf
+    /// of `requester` (a dirty line is pushed to `wb`).
     pub(crate) fn evict(
         &mut self,
         i: usize,
@@ -186,37 +166,17 @@ impl LineArray {
     ) {
         let victim = self.lines[i];
         debug_assert!(victim.valid);
-        if victim.dirty {
-            self.stats.writebacks_out += 1;
-            wb.push(victim.tag);
-        }
-        if cause != EvictionCause::Flush || self.flushes_count_reuse {
-            if victim.reused {
-                self.stats.reused_evictions += 1;
-            } else {
-                self.stats.dead_evictions += 1;
-            }
-        }
-        if victim.sdid != requester {
-            self.stats.cross_domain_evictions += 1;
-        }
-        match cause {
-            EvictionCause::Sae => self.stats.saes += 1,
-            EvictionCause::GlobalData => self.stats.global_data_evictions += 1,
-            EvictionCause::Flush => self.stats.flushes += 1,
-            EvictionCause::GlobalTag | EvictionCause::Replacement => {}
-        }
         self.lines[i].valid = false;
-        let skew = self.home(i).0 as u8;
-        self.probe.emit_with(|| EventKind::Eviction {
-            line: victim.tag,
-            cause,
+        let v = Victim {
+            owner: victim.sdid,
             had_data: true,
             dirty: victim.dirty,
             reused: victim.reused,
             downgraded: false,
-            skew,
-        });
+        };
+        let skew = self.home(i).0 as u8;
+        self.rec
+            .evict(v, cause, requester, wb, || (victim.tag, skew));
     }
 
     /// Installs `req`'s line in slot `i` under the current epoch, reports
@@ -230,15 +190,8 @@ impl LineArray {
             reused: false,
             epoch: self.epoch,
         };
-        self.stats.tag_fills += 1;
-        self.stats.data_fills += 1;
-        let line = req.line;
         let skew = self.home(i).0 as u8;
-        self.probe.emit_with(|| EventKind::Fill {
-            line,
-            tag_only: false,
-            skew,
-        });
+        self.rec.fill(req.line, false, || skew);
         Response {
             event: AccessEvent::Miss,
             writebacks: wb,
@@ -259,7 +212,7 @@ impl LineArray {
         for l in &mut self.lines {
             l.valid = false;
         }
-        self.probe.emit(EventKind::FlushAll);
+        self.rec.flush_all();
     }
 
     /// Checks that no line claims an epoch the array has not reached, that

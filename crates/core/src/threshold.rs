@@ -97,8 +97,7 @@ impl ThresholdCache {
                 config.ways_per_skew,
                 IndexFunction::from_seed(config.seed, config.skews, config.sets_per_skew)
                     .with_memo(DEFAULT_MEMO_SLOTS),
-            )
-            .counting_flushed_reuse(),
+            ),
             valid_list: Vec::new(),
             list_pos: vec![0; config.entries()],
             rng: SmallRng::seed_from_u64(config.seed ^ 0x7423),
@@ -198,11 +197,11 @@ impl CacheModel for ThresholdCache {
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.arr.stats
+        self.arr.rec.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.arr.stats.reset();
+        self.arr.rec.reset();
     }
 
     fn extra_latency(&self) -> u32 {
@@ -218,7 +217,7 @@ impl CacheModel for ThresholdCache {
     }
 
     fn set_probe(&mut self, probe: ProbeHandle) {
-        self.arr.probe = probe;
+        self.arr.rec.set_probe(probe);
     }
 
     fn audit(&self) -> Result<(), String> {

@@ -1,6 +1,9 @@
-//! Common request/response and statistics types shared by every cache model.
+//! Common request/response and statistics types shared by every cache model,
+//! and the [`Recorder`] through which every model counts and reports.
 
 use std::fmt;
+
+use maya_obs::{EventKind, EvictionCause, ProbeHandle};
 
 /// A security domain identifier (SDID).
 ///
@@ -186,9 +189,13 @@ pub struct CacheStats {
     pub data_fills: u64,
     /// Tags installed (for Maya this exceeds `data_fills`).
     pub tag_fills: u64,
-    /// Data-store entries evicted that were never reused after their fill.
+    /// Data-store entries the cache itself evicted (a replacement, SAE or
+    /// global data eviction) that were never reused after their fill. A
+    /// flushed line is counted in `flushes`, never here.
     pub dead_evictions: u64,
-    /// Data-store entries evicted after at least one reuse.
+    /// Data-store entries the cache itself evicted (a replacement, SAE or
+    /// global data eviction) after at least one reuse. A flushed line is
+    /// counted in `flushes`, never here.
     pub reused_evictions: u64,
     /// Dirty lines written back to memory.
     pub writebacks_out: u64,
@@ -198,10 +205,13 @@ pub struct CacheStats {
     pub global_data_evictions: u64,
     /// Global random evictions of priority-0 tags (Maya only).
     pub global_tag_evictions: u64,
-    /// Evictions where the victim belonged to a different domain than the
-    /// requester (inter-core/inter-domain interference).
+    /// Data-store entries the cache itself evicted (as for
+    /// `dead_evictions`) whose owner was a different domain than the
+    /// requester (inter-core/inter-domain interference). Flushes never
+    /// count.
     pub cross_domain_evictions: u64,
-    /// Lines invalidated by explicit flush requests.
+    /// Lines invalidated by explicit flush requests. A dirty flushed line
+    /// also counts in `writebacks_out`; its reuse counts nowhere.
     pub flushes: u64,
 }
 
@@ -229,6 +239,175 @@ impl CacheStats {
     /// Resets every counter to zero.
     pub fn reset(&mut self) {
         *self = Self::default();
+    }
+}
+
+/// An entry leaving the cache, as [`Recorder::evict`] counts and reports
+/// it. For Maya's global data eviction only the data leaves: the tag stays
+/// behind as a priority-0 entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Victim {
+    /// Domain that installed the entry.
+    pub(crate) owner: DomainId,
+    /// The entry held a data-store entry (false for Maya's tag-only ones).
+    pub(crate) had_data: bool,
+    /// The data was dirty, so it is written back.
+    pub(crate) dirty: bool,
+    /// The data was demand-reused since its fill.
+    pub(crate) reused: bool,
+    /// The tag survives as a priority-0 entry.
+    pub(crate) downgraded: bool,
+}
+
+/// A model's [`CacheStats`] and probe handle in one place.
+///
+/// Every method moves the counters of one outcome together with that
+/// outcome's event, so no counter can drift from the event stream. Methods
+/// reachable from `access` neither allocate nor panic.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Recorder {
+    stats: CacheStats,
+    probe: ProbeHandle,
+}
+
+impl Recorder {
+    /// The counters so far.
+    pub(crate) fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// Zeroes every counter; the probe stays attached.
+    pub(crate) fn reset(&mut self) {
+        self.stats.reset();
+    }
+
+    /// Attaches `probe` in place of the current handle.
+    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
+        self.probe = probe;
+    }
+
+    /// Counts an arriving request of `kind`.
+    #[inline]
+    pub(crate) fn request(&mut self, kind: AccessKind) {
+        match kind {
+            AccessKind::Read | AccessKind::Prefetch => self.stats.reads += 1,
+            AccessKind::Writeback => self.stats.writebacks_in += 1,
+        }
+    }
+
+    /// `line` was served from the data store.
+    #[inline]
+    pub(crate) fn hit(&mut self, line: u64) {
+        self.stats.data_hits += 1;
+        self.probe.emit_with(|| EventKind::Hit { line });
+    }
+
+    /// `line` found a priority-0 (tag-only) entry.
+    #[inline]
+    pub(crate) fn tag_only_hit(&mut self, line: u64) {
+        self.stats.tag_only_hits += 1;
+        self.probe.emit_with(|| EventKind::TagOnlyHit { line });
+    }
+
+    /// `line` found no valid tag.
+    #[inline]
+    pub(crate) fn miss(&mut self, line: u64) {
+        self.stats.tag_misses += 1;
+        self.probe.emit_with(|| EventKind::Miss { line });
+    }
+
+    /// A tag for `line` was installed, with its data unless `tag_only`.
+    /// `skew` names the tag-store skew; it runs only for an attached probe.
+    #[inline]
+    pub(crate) fn fill(&mut self, line: u64, tag_only: bool, skew: impl FnOnce() -> u8) {
+        self.stats.tag_fills += 1;
+        if !tag_only {
+            self.stats.data_fills += 1;
+        }
+        self.probe.emit_with(|| EventKind::Fill {
+            line,
+            tag_only,
+            skew: skew(),
+        });
+    }
+
+    /// A priority-0 entry gained a data entry. `line` runs only for an
+    /// attached probe.
+    #[inline]
+    pub(crate) fn promote(&mut self, line: impl FnOnce() -> u64) {
+        self.stats.data_fills += 1;
+        self.probe
+            .emit_with(|| EventKind::Promotion { line: line() });
+    }
+
+    /// `v` left the cache for `cause` on behalf of `requester`.
+    ///
+    /// The cause's own counter moves, and a dirty victim is written back
+    /// and pushed to `wb`. The flush rule: only the cache's own releases of
+    /// data (replacement, SAE and global data evictions) count as dead or
+    /// reused and, for another domain's line, as cross-domain. A flush
+    /// counts in `flushes`, and in `writebacks_out` when dirty, and
+    /// nowhere else.
+    ///
+    /// `locate` yields the victim's line address and tag-store skew. It
+    /// runs only when the victim is dirty or a probe is attached, so a
+    /// detached probe never reads the model's cold tag lane.
+    #[inline]
+    pub(crate) fn evict(
+        &mut self,
+        v: Victim,
+        cause: EvictionCause,
+        requester: DomainId,
+        wb: &mut Writebacks,
+        locate: impl FnOnce() -> (u64, u8),
+    ) {
+        let s = &mut self.stats;
+        match cause {
+            EvictionCause::Sae => s.saes += 1,
+            EvictionCause::GlobalData => s.global_data_evictions += 1,
+            EvictionCause::GlobalTag => s.global_tag_evictions += 1,
+            EvictionCause::Flush => s.flushes += 1,
+            EvictionCause::Replacement => {}
+        }
+        if v.had_data && cause != EvictionCause::Flush {
+            if v.reused {
+                s.reused_evictions += 1;
+            } else {
+                s.dead_evictions += 1;
+            }
+            if v.owner != requester {
+                s.cross_domain_evictions += 1;
+            }
+        }
+        if !v.dirty && !self.probe.is_active() {
+            return;
+        }
+        let (line, skew) = locate();
+        if v.dirty {
+            s.writebacks_out += 1;
+            wb.push(line);
+        }
+        self.probe.emit_with(|| EventKind::Eviction {
+            line,
+            cause,
+            had_data: v.had_data,
+            dirty: v.dirty,
+            reused: v.reused,
+            downgraded: v.downgraded,
+            skew,
+        });
+    }
+
+    /// The whole cache was invalidated.
+    pub(crate) fn flush_all(&self) {
+        self.probe.emit(EventKind::FlushAll);
+    }
+
+    /// The index function was re-keyed; `drained` dirty lines of the
+    /// closing epoch were written back without a requester waiting.
+    pub(crate) fn rekey(&mut self, drained: u64) {
+        self.stats.writebacks_out += drained;
+        self.probe.emit(EventKind::EpochRekey);
     }
 }
 

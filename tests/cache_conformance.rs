@@ -1,58 +1,55 @@
 //! Conformance suite: every `CacheModel` implementation must satisfy the
-//! same behavioural contract. Each check runs against the baseline (three
-//! replacement policies), the partitioned variants, Mirage, Maya, and the
-//! fully-associative reference.
+//! same behavioural contract. Each check runs against every registered
+//! design (`Design::all()`) plus the baseline under its other replacement
+//! policies (LRU, SRRIP, Random).
 
+use maya_bench::designs::Design;
 use maya_repro::maya_core::{
-    partitioned, AccessEvent, CacheModel, DomainId, FullyAssocCache, MayaCache, MayaConfig,
-    MirageCache, MirageConfig, Policy, Request, SetAssocCache, SetAssocConfig,
+    AccessEvent, CacheModel, DomainId, Policy, Request, SetAssocCache, SetAssocConfig,
 };
 
-/// Builds one instance of every design, all with ≥ 512 lines of capacity.
-fn all_models() -> Vec<Box<dyn CacheModel>> {
-    vec![
-        Box::new(SetAssocCache::new(SetAssocConfig::new(64, 16, Policy::Lru))),
-        Box::new(SetAssocCache::new(SetAssocConfig::new(
-            64,
-            16,
-            Policy::Srrip,
-        ))),
-        Box::new(SetAssocCache::new(SetAssocConfig::new(
-            64,
-            16,
-            Policy::Drrip,
-        ))),
-        Box::new(SetAssocCache::new(SetAssocConfig::new(
-            64,
-            16,
-            Policy::Random,
-        ))),
-        Box::new(partitioned::dawg(64, 16, 8, Policy::Lru)),
-        Box::new(partitioned::page_coloring(64, 16, 8, Policy::Srrip)),
-        Box::new(MirageCache::new(MirageConfig::for_data_entries(1024, 9))),
-        Box::new(MayaCache::new(MayaConfig::with_sets(64, 9))),
-        Box::new(FullyAssocCache::new(1024, 9)),
+/// Baseline-equivalent capacity of the registered designs: the smallest
+/// at which BCE gives each of its 8 domains one 64 KB unit.
+const LINES: usize = 8 * 1024;
+
+/// Builds one instance of every design, each with its id.
+fn all_models() -> Vec<(String, Box<dyn CacheModel>)> {
+    let mut models: Vec<(String, Box<dyn CacheModel>)> = [
+        ("lru", Policy::Lru),
+        ("srrip", Policy::Srrip),
+        ("random", Policy::Random),
     ]
+    .into_iter()
+    .map(|(name, policy)| {
+        let c = SetAssocCache::new(SetAssocConfig::new(LINES / 16, 16, policy));
+        (
+            format!("baseline-{name}"),
+            Box::new(c) as Box<dyn CacheModel>,
+        )
+    })
+    .collect();
+    models.extend(Design::all().iter().map(|d| (d.id(), d.build(LINES, 9))));
+    models
 }
 
 /// Two touches of the same line must make it observable (`probe`) and a
 /// third access must be a data hit, in every design.
 #[test]
 fn two_touches_cache_a_line_everywhere() {
-    for mut c in all_models() {
+    for (id, mut c) in all_models() {
         let d = DomainId(1);
         c.access(Request::read(42, d));
         c.access(Request::read(42, d));
         assert!(
             c.probe(42, d),
             "{}: line not resident after two touches",
-            c.name()
+            id
         );
         assert_eq!(
             c.access(Request::read(42, d)).event,
             AccessEvent::DataHit,
             "{}: third touch must hit",
-            c.name()
+            id
         );
     }
 }
@@ -61,40 +58,46 @@ fn two_touches_cache_a_line_everywhere() {
 /// agree, and stats must not move.
 #[test]
 fn probe_is_side_effect_free() {
-    for mut c in all_models() {
+    for (id, mut c) in all_models() {
         let d = DomainId(1);
         c.access(Request::read(7, d));
         c.access(Request::read(7, d));
         let stats_before = c.stats().clone();
         let a = c.probe(7, d);
         let b = c.probe(7, d);
-        assert_eq!(a, b, "{}", c.name());
-        assert_eq!(
-            &stats_before,
-            c.stats(),
-            "{}: probe mutated stats",
-            c.name()
-        );
+        assert_eq!(a, b, "{id}");
+        assert_eq!(&stats_before, c.stats(), "{}: probe mutated stats", id);
     }
 }
 
 /// Flushing a resident line removes it; flushing again reports absence.
+/// A flush counts once in `flushes` and never as a dead or reused
+/// eviction: only the cache's own evictions say whether a block was
+/// reused.
 #[test]
 fn flush_semantics_are_uniform() {
-    for mut c in all_models() {
+    for (id, mut c) in all_models() {
         let d = DomainId(1);
         c.access(Request::read(9, d));
         c.access(Request::read(9, d));
-        assert!(c.flush_line(9, d), "{}", c.name());
-        assert!(!c.probe(9, d), "{}", c.name());
-        assert!(!c.flush_line(9, d), "{}", c.name());
+        let before = c.stats().clone();
+        assert!(c.flush_line(9, d), "{id}");
+        assert!(!c.probe(9, d), "{id}");
+        assert!(!c.flush_line(9, d), "{id}");
+        let after = c.stats();
+        assert_eq!(after.flushes, before.flushes + 1, "{id}: flushes");
+        assert_eq!(
+            after.dead_evictions + after.reused_evictions,
+            before.dead_evictions + before.reused_evictions,
+            "{id}: a flush counted as a dead or reused eviction"
+        );
     }
 }
 
 /// `flush_all` leaves a completely cold cache.
 #[test]
 fn flush_all_empties_every_design() {
-    for mut c in all_models() {
+    for (id, mut c) in all_models() {
         let d = DomainId(1);
         for line in 0..256u64 {
             c.access(Request::read(line, d));
@@ -102,11 +105,7 @@ fn flush_all_empties_every_design() {
         }
         c.flush_all();
         for line in 0..256u64 {
-            assert!(
-                !c.probe(line, d),
-                "{}: line {line} survived flush_all",
-                c.name()
-            );
+            assert!(!c.probe(line, d), "{}: line {line} survived flush_all", id);
         }
     }
 }
@@ -115,7 +114,7 @@ fn flush_all_empties_every_design() {
 /// (tag-only hits) classifications.
 #[test]
 fn stats_classification_is_exhaustive() {
-    for mut c in all_models() {
+    for (id, mut c) in all_models() {
         let d = DomainId(1);
         for i in 0..2000u64 {
             let line = i % 700;
@@ -130,7 +129,7 @@ fn stats_classification_is_exhaustive() {
             s.accesses(),
             s.data_hits + s.tag_only_hits + s.tag_misses,
             "{}: accesses must partition into hit/tag-only/miss",
-            c.name()
+            id
         );
     }
 }
@@ -138,13 +137,13 @@ fn stats_classification_is_exhaustive() {
 /// Stats reset touches statistics only — cache contents survive.
 #[test]
 fn reset_stats_preserves_contents() {
-    for mut c in all_models() {
+    for (id, mut c) in all_models() {
         let d = DomainId(1);
         c.access(Request::read(3, d));
         c.access(Request::read(3, d));
         c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0, "{}", c.name());
-        assert!(c.probe(3, d), "{}: reset_stats evicted a line", c.name());
+        assert_eq!(c.stats().accesses(), 0, "{id}");
+        assert!(c.probe(3, d), "{}: reset_stats evicted a line", id);
     }
 }
 
@@ -152,7 +151,7 @@ fn reset_stats_preserves_contents() {
 /// touches, resident lines never exceed `capacity_lines`.
 #[test]
 fn capacity_is_never_exceeded() {
-    for mut c in all_models() {
+    for (id, mut c) in all_models() {
         let d = DomainId(1);
         let cap = c.capacity_lines() as u64;
         for line in 0..4 * cap {
@@ -163,7 +162,7 @@ fn capacity_is_never_exceeded() {
         assert!(
             resident <= c.capacity_lines(),
             "{}: {resident} resident > capacity {}",
-            c.name(),
+            id,
             c.capacity_lines()
         );
     }
@@ -174,7 +173,7 @@ fn capacity_is_never_exceeded() {
 /// dirty (observable by flushing it and counting `writebacks_out`).
 #[test]
 fn dirty_data_is_conserved() {
-    for mut c in all_models() {
+    for (id, mut c) in all_models() {
         let d = DomainId(1);
         let n = 3 * c.capacity_lines() as u64;
         let mut reported = 0u64;
@@ -183,10 +182,9 @@ fn dirty_data_is_conserved() {
         }
         let evicted_dirty = c.stats().writebacks_out;
         assert_eq!(
-            reported,
-            evicted_dirty,
+            reported, evicted_dirty,
             "{}: Response writebacks and stats must agree",
-            c.name()
+            id
         );
         // Flush the remainder: afterwards total writebacks equal the number
         // of distinct dirtied lines.
@@ -197,18 +195,24 @@ fn dirty_data_is_conserved() {
             c.stats().writebacks_out,
             n,
             "{}: every dirty line must be written back exactly once",
-            c.name()
+            id
         );
     }
 }
 
-/// The designs report their advertised lookup-latency adders.
+/// The designs report their advertised lookup-latency adders: PRINCE costs
+/// the randomized designs three cycles, the decoupled ones add a cycle of
+/// tag-to-data indirection, and Maya tag stores wider than 15 ways per skew
+/// pay one more lookup cycle.
 #[test]
 fn extra_latency_matches_design_class() {
-    for c in all_models() {
-        match c.name() {
-            "maya" | "mirage" => assert_eq!(c.extra_latency(), 4, "{}", c.name()),
-            _ => assert_eq!(c.extra_latency(), 0, "{}", c.name()),
-        }
+    for (id, c) in all_models() {
+        let expected = match id.as_str() {
+            "ceaser" | "ceaser-s" | "scatter" | "threshold" => 3,
+            "maya" | "maya-r1" | "mirage" | "mirage-lite" => 4,
+            "maya-r7" | "maya-iso" => 5,
+            _ => 0,
+        };
+        assert_eq!(c.extra_latency(), expected, "{id}");
     }
 }

@@ -16,7 +16,10 @@ use maya_repro::champsim_lite::{System, SystemConfig};
 use maya_repro::maya_core::{
     CacheModel, DomainId, MayaCache, MayaConfig, MirageCache, MirageConfig, Request,
 };
-use maya_repro::maya_obs::{MetricsProbe, NopProbe, ProbeHandle, ProfileHandle, SpanProfiler};
+use maya_repro::maya_obs::{
+    Event, EventKind, EvictionCause, MetricsProbe, NopProbe, Probe, ProbeHandle, ProfileHandle,
+    SpanProfiler,
+};
 use maya_repro::workloads::mixes::homogeneous;
 
 /// Baseline-equivalent capacity: 1 MB (16K lines), small enough for debug
@@ -66,9 +69,43 @@ fn instrumented(d: Design) -> (Box<dyn CacheModel>, Rc<RefCell<MetricsProbe>>) {
     (c, rc)
 }
 
+/// Tallies `Eviction` events by what they released.
+#[derive(Debug, Default)]
+struct EvictionTally {
+    /// Evictions of dirty data (each one a writeback).
+    dirty: u64,
+    /// Data-holding evictions the cache made itself (every cause but a
+    /// flush).
+    data_released: u64,
+    /// The reused subset of `data_released`.
+    reused: u64,
+}
+
+impl Probe for EvictionTally {
+    fn record(&mut self, event: &Event) {
+        if let EventKind::Eviction {
+            cause,
+            had_data,
+            dirty,
+            reused,
+            ..
+        } = event.kind
+        {
+            self.dirty += u64::from(dirty);
+            if had_data && cause != EvictionCause::Flush {
+                self.data_released += 1;
+                self.reused += u64::from(reused);
+            }
+        }
+    }
+}
+
 /// Every probe-side counter equals the matching `CacheStats` field. The
 /// emits sit exactly where the stats increment, so any divergence means an
-/// instrumentation hole.
+/// instrumentation hole. The eviction events also carry the flush rule:
+/// every writeback leaves through a dirty eviction (flushes included), and
+/// exactly the data-holding evictions that are not flushes count as dead
+/// or reused.
 #[test]
 fn event_counters_reconcile_with_cache_stats() {
     for d in Design::all() {
@@ -110,6 +147,22 @@ fn event_counters_reconcile_with_cache_stats() {
             s.tag_fills >= s.data_fills,
             "{id}: a data fill always installs a tag"
         );
+
+        let mut c = d.build(LINES, SEED);
+        let (handle, tally) = ProbeHandle::of(EvictionTally::default());
+        c.set_probe(handle);
+        drive(c.as_mut());
+        let t = tally.borrow();
+        let s = c.stats();
+        // CEASER's remap drain is the one writeback without an eviction
+        // event; the workload is shorter than its 100k-fill epoch.
+        assert_eq!(s.writebacks_out, t.dirty, "{id}: dirty evictions");
+        assert_eq!(
+            s.dead_evictions + s.reused_evictions,
+            t.data_released,
+            "{id}: dead + reused evictions"
+        );
+        assert_eq!(s.reused_evictions, t.reused, "{id}: reused evictions");
     }
 }
 
