@@ -1,7 +1,7 @@
 //! Shared performance-run machinery: building systems, alone-IPC caching,
 //! and normalized weighted speedup.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -15,14 +15,12 @@ use crate::designs::Design;
 use crate::Scale;
 
 thread_local! {
-    /// Ambient sidecar directory: when set, every [`run_mix_with`] call on
-    /// this thread writes a JSONL metrics sidecar next to its TSV output.
-    /// Thread-local so parallel tests cannot race; the sweep scheduler
-    /// propagates the dispatcher's setting into its workers.
+    /// Ambient sidecar directory: when set, every [`run_mix_with`] call
+    /// inside a sweep cell on this thread writes a JSONL metrics sidecar
+    /// next to its TSV output. Thread-local so parallel tests cannot race;
+    /// the sweep scheduler propagates the dispatcher's setting into its
+    /// workers.
     static METRICS_DIR: RefCell<Option<PathBuf>> = const { RefCell::new(None) };
-    /// Deterministic per-thread ordinal so sidecar filenames never collide
-    /// on the legacy (non-sweep) path.
-    static RUN_ORDINAL: Cell<u64> = const { Cell::new(0) };
     /// Active sweep cell on this thread: `(experiment, job id)` plus a
     /// per-cell run ordinal. Sidecar names derive from the job id — not
     /// from worker identity or completion order — so `--metrics-dir`
@@ -34,9 +32,10 @@ thread_local! {
 const SIDECAR_SAMPLE_EVERY: u64 = 100_000;
 
 /// Directs every subsequent [`run_mix_with`] call on this thread to write
-/// a `metrics_...jsonl` sidecar into `dir` (`None` disables). Attaching
-/// the collector never changes simulation results — probes are strictly
-/// read-only.
+/// a `metrics_...jsonl` sidecar into `dir` (`None` disables). Only runs
+/// inside a sweep cell (see [`set_job_context`]) write one, since the cell
+/// names the file. Attaching the collector never changes simulation
+/// results — probes are strictly read-only.
 pub fn set_metrics_dir(dir: Option<PathBuf>) {
     METRICS_DIR.with(|d| *d.borrow_mut() = dir);
 }
@@ -46,35 +45,27 @@ pub fn metrics_dir() -> Option<PathBuf> {
     METRICS_DIR.with(|d| d.borrow().clone())
 }
 
-/// Marks the sweep cell subsequent runs on this thread belong to (used by
-/// the scheduler; `None` restores the legacy per-thread ordinal naming).
+/// Marks the sweep cell subsequent runs on this thread belong to (set by
+/// the scheduler around each job; `None` ends the cell). A run's sidecar
+/// is named `metrics_{experiment}_j{job}_{ordinal}_{design}_{mix}.jsonl`,
+/// so the names are the same at any `--jobs` count; outside a cell no
+/// sidecar is written.
 pub fn set_job_context(ctx: Option<(String, usize)>) {
     JOB_CONTEXT.with(|c| *c.borrow_mut() = ctx.map(|(exp, id)| (exp, id, 0)));
 }
 
 fn sidecar_path(design: Design, mix: &Mix) -> Option<PathBuf> {
-    METRICS_DIR.with(|d| {
-        d.borrow().as_ref().map(|dir| {
-            let name = JOB_CONTEXT.with(|c| {
-                if let Some((exp, job, ordinal)) = c.borrow_mut().as_mut() {
-                    let k = *ordinal;
-                    *ordinal += 1;
-                    format!(
-                        "metrics_{exp}_j{job:03}_{k}_{}_{}.jsonl",
-                        design.id(),
-                        mix.name
-                    )
-                } else {
-                    let n = RUN_ORDINAL.with(|o| {
-                        let n = o.get();
-                        o.set(n + 1);
-                        n
-                    });
-                    format!("metrics_{n:04}_{}_{}.jsonl", design.id(), mix.name)
-                }
-            });
-            dir.join(name)
-        })
+    let dir = metrics_dir()?;
+    JOB_CONTEXT.with(|c| {
+        let mut c = c.borrow_mut();
+        let (exp, job, ordinal) = c.as_mut()?;
+        let k = *ordinal;
+        *ordinal += 1;
+        Some(dir.join(format!(
+            "metrics_{exp}_j{job:03}_{k}_{}_{}.jsonl",
+            design.id(),
+            mix.name
+        )))
     })
 }
 
@@ -220,20 +211,20 @@ mod tests {
         let plain = run_mix(Design::Maya, &mix, scale);
         let dir = std::env::temp_dir().join("maya_bench_sidecar_test");
         std::fs::create_dir_all(&dir).unwrap();
+        // The sweep cell names the file: experiment, job 0, run 0.
+        let sidecar = dir.join(format!(
+            "metrics_sidecar-test_j000_0_maya_{}.jsonl",
+            mix.name
+        ));
+        let _ = std::fs::remove_file(&sidecar);
         set_metrics_dir(Some(dir.clone()));
+        set_job_context(Some(("sidecar-test".into(), 0)));
         let observed = run_mix(Design::Maya, &mix, scale);
+        set_job_context(None);
         set_metrics_dir(None);
         assert_eq!(plain.cores, observed.cores, "probe must be read-only");
         assert_eq!(plain.dram, observed.dram);
-        let sidecar = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .find(|e| {
-                let n = e.file_name().to_string_lossy().into_owned();
-                n.starts_with("metrics_") && n.contains("maya") && n.ends_with(".jsonl")
-            })
-            .expect("sidecar file must exist");
-        let text = std::fs::read_to_string(sidecar.path()).unwrap();
+        let text = std::fs::read_to_string(&sidecar).expect("sidecar file must exist");
         assert!(text.starts_with(r#"{"type":"run""#));
         assert!(text.lines().last().unwrap().starts_with(r#"{"type":"end""#));
         assert!(
