@@ -79,35 +79,50 @@ const BENCHMARK_TOOL: &str = "benchmark";
 
 /// The benchmark metrics the history tracks, as (name in the benchmark's
 /// output, name in the history). Every workload reports the first two;
-/// the simulator workloads report all of them. A `_ns_` metric is a cost
-/// per operation, so the history records its rate, 1e9 / ns, and every
-/// history metric stays higher-is-better.
+/// the simulator workloads report all of them, and the history keeps the
+/// last three, which time the simulator's front end, for
+/// [`FRONT_END_WORKLOAD`] only. A `_ns_` metric is a cost per operation,
+/// so the history records its rate, 1e9 / ns, and every history metric
+/// stays higher-is-better.
 pub const BENCHMARK_METRICS: [(&str, &str); 6] = [
     ("llc_calls_per_s", "llc_calls_per_s"),
     (
         "prince.index_ns_per_call_nomemo",
         "prince.index_calls_per_s_nomemo",
     ),
+    ("diag_style.lookups_per_s", "diag_style.lookups_per_s"),
     (
         "workloads.synth_ns_per_access",
         "workloads.synth_accesses_per_s",
     ),
     ("sim.l1_ns_per_lookup", "sim.l1_lookups_per_s"),
     ("sim.l2_ns_per_lookup", "sim.l2_lookups_per_s"),
-    ("diag_style.lookups_per_s", "diag_style.lookups_per_s"),
 ];
 
 /// How many leading [`BENCHMARK_METRICS`] every traced workload reports.
 const EVERY_WORKLOAD: usize = 2;
 
+/// How many leading [`BENCHMARK_METRICS`] the history keeps for every
+/// simulator workload; the rest time the front end (trace synthesis, L1,
+/// L2).
+const EVERY_SIMULATOR: usize = 3;
+
+/// The one workload whose front-end metrics the history keeps. The other
+/// simulator workloads (maya-stream, mirage-stream) replay the same lbm
+/// stream through the same front end, so their readings would only repeat
+/// this one's.
+pub const FRONT_END_WORKLOAD: &str = "baseline-stream";
+
 /// Reads one `benchmark --workload <workload> --trace 1` invocation's
 /// output — its `name value unit n=.. min=.. max=..` lines and the final
 /// JSON line — into a `benchmark` record whose metrics are keyed
-/// `<workload>/<history name>` (see [`BENCHMARK_METRICS`]).
+/// `<workload>/<history name>` (see [`BENCHMARK_METRICS`] and
+/// [`FRONT_END_WORKLOAD`]).
 ///
-/// An output whose JSON line reports a failed operation, or that lacks a
-/// metric the workload must report, is an error: a run that did not pass
-/// or was not traced cannot stand in the history.
+/// An output whose JSON line reports a failed operation, that lacks a
+/// metric the workload must report, or that gives any of the metrics a
+/// non-positive value is an error: a run that did not pass or was not
+/// traced cannot stand in the history.
 pub fn benchmark_record(workload: &str, output: &str) -> Result<HistoryRecord, String> {
     let lines: Vec<&str> = output.lines().filter(|l| !l.trim().is_empty()).collect();
     let (last, metric_lines) = lines.split_last().ok_or("empty benchmark output")?;
@@ -122,7 +137,7 @@ pub fn benchmark_record(workload: &str, output: &str) -> Result<HistoryRecord, S
         }
         None => return Err("the benchmark's JSON line has no \"failed\" count".into()),
     }
-    let mut metrics = BTreeMap::new();
+    let mut reported = BTreeMap::new();
     for (name, key) in BENCHMARK_METRICS {
         let Some(text) = metric_lines.iter().find_map(|l| {
             let mut words = l.split_whitespace();
@@ -140,19 +155,21 @@ pub fn benchmark_record(workload: &str, output: &str) -> Result<HistoryRecord, S
         } else {
             value
         };
-        metrics.insert(format!("{workload}/{key}"), rate);
+        reported.insert(key, rate);
     }
     // The simulator metrics come all together or not at all.
-    let (every, sim) = BENCHMARK_METRICS.split_at(EVERY_WORKLOAD);
-    let has = |key: &str| metrics.contains_key(&format!("{workload}/{key}"));
-    let required = if sim.iter().any(|(_, key)| has(key)) {
-        &BENCHMARK_METRICS[..]
-    } else {
-        every
+    let simulator = BENCHMARK_METRICS[EVERY_WORKLOAD..]
+        .iter()
+        .any(|(_, key)| reported.contains_key(key));
+    let kept = match (simulator, workload == FRONT_END_WORKLOAD) {
+        (false, _) => EVERY_WORKLOAD,
+        (true, false) => EVERY_SIMULATOR,
+        (true, true) => BENCHMARK_METRICS.len(),
     };
+    let required = &BENCHMARK_METRICS[..kept];
     let missing: Vec<&str> = required
         .iter()
-        .filter(|(_, key)| !has(key))
+        .filter(|(_, key)| !reported.contains_key(key))
         .map(|(name, _)| *name)
         .collect();
     if !missing.is_empty() {
@@ -161,6 +178,10 @@ pub fn benchmark_record(workload: &str, output: &str) -> Result<HistoryRecord, S
             missing.join(", ")
         ));
     }
+    let metrics = required
+        .iter()
+        .map(|(_, key)| (format!("{workload}/{key}"), reported[key]))
+        .collect();
     Ok(HistoryRecord {
         tool: BENCHMARK_TOOL.to_string(),
         host: host_id(),
@@ -573,9 +594,6 @@ ops_failed 0 count
                 "maya-stream/diag_style.lookups_per_s",
                 "maya-stream/llc_calls_per_s",
                 "maya-stream/prince.index_calls_per_s_nomemo",
-                "maya-stream/sim.l1_lookups_per_s",
-                "maya-stream/sim.l2_lookups_per_s",
-                "maya-stream/workloads.synth_accesses_per_s",
             ]
         );
         assert_eq!(r.metrics["maya-stream/llc_calls_per_s"], 1528929.1401166546);
@@ -585,18 +603,34 @@ ops_failed 0 count
         );
         // The record survives the history file.
         assert_eq!(parse_history(&r.to_json_line()).unwrap(), vec![r]);
+
+        // Only the front-end workload keeps the front-end metrics.
+        let r = benchmark_record(FRONT_END_WORKLOAD, MAYA_STREAM_OUTPUT).unwrap();
+        let keys: Vec<&str> = r.metrics.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "baseline-stream/diag_style.lookups_per_s",
+                "baseline-stream/llc_calls_per_s",
+                "baseline-stream/prince.index_calls_per_s_nomemo",
+                "baseline-stream/sim.l1_lookups_per_s",
+                "baseline-stream/sim.l2_lookups_per_s",
+                "baseline-stream/workloads.synth_accesses_per_s",
+            ]
+        );
+        assert_eq!(parse_history(&r.to_json_line()).unwrap(), vec![r]);
     }
 
     #[test]
     fn ns_metrics_are_inverted_to_rates() {
-        let r = benchmark_record("maya-stream", MAYA_STREAM_OUTPUT).unwrap();
+        let r = benchmark_record(FRONT_END_WORKLOAD, MAYA_STREAM_OUTPUT).unwrap();
         for (key, ns) in [
             ("sim.l1_lookups_per_s", 65.49759506247574),
             ("sim.l2_lookups_per_s", 46.90578942940876),
             ("workloads.synth_accesses_per_s", 58.47435209676289),
             ("prince.index_calls_per_s_nomemo", 192.45449488540802),
         ] {
-            let rate = r.metrics[&format!("maya-stream/{key}")];
+            let rate = r.metrics[&format!("{FRONT_END_WORKLOAD}/{key}")];
             assert!((rate - 1e9 / ns).abs() < 1e-6, "{key}: {rate}");
         }
     }
@@ -615,8 +649,19 @@ ops_failed 0 count
                 .join("\n")
         };
         for (name, _) in BENCHMARK_METRICS {
-            let err = benchmark_record("maya-stream", &without(&[name])).unwrap_err();
+            let err = benchmark_record(FRONT_END_WORKLOAD, &without(&[name])).unwrap_err();
             assert!(err.contains(name), "{name}: {err}");
+        }
+        // The other simulator workloads need every metric but the front
+        // end's.
+        for (i, (name, _)) in BENCHMARK_METRICS.iter().enumerate() {
+            let r = benchmark_record("maya-stream", &without(&[name]));
+            if i < EVERY_SIMULATOR {
+                let err = r.unwrap_err();
+                assert!(err.contains(name), "{name}: {err}");
+            } else {
+                assert_eq!(r.unwrap().metrics.len(), EVERY_SIMULATOR, "{name}");
+            }
         }
 
         // A workload without the simulator metrics (maya-occupancy) reports
@@ -634,7 +679,9 @@ ops_failed 0 count
         }
         let zero =
             MAYA_STREAM_OUTPUT.replace("sim.l1_ns_per_lookup 65.", "sim.l1_ns_per_lookup 0 65.");
-        assert!(benchmark_record("maya-stream", &zero).is_err());
+        for workload in [FRONT_END_WORKLOAD, "maya-stream"] {
+            assert!(benchmark_record(workload, &zero).is_err(), "{workload}");
+        }
     }
 
     #[test]
