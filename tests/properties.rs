@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use maya_repro::maya_core::maya::{transition, TagEvent, TagState};
 use maya_repro::maya_core::storage::StorageReport;
 use maya_repro::maya_core::{
-    AccessEvent, CacheModel, DomainId, MayaCache, MayaConfig, MirageCache, MirageConfig, Request,
-    Response,
+    AccessEvent, CacheModel, DomainId, FaultKind, MayaCache, MayaConfig, MirageCache, MirageConfig,
+    Request, Response,
 };
 use maya_repro::prince_cipher::{IndexFunction, Prince};
 
@@ -441,5 +441,94 @@ proptest! {
         let a = interleave_run(build(), &ops, |c, s| c.rekey(s));
         let b = interleave_run(build(), &ops, |c, s| c.rekey(s));
         prop_assert_eq!(a, b);
+    }
+}
+
+// --- the presence filter --------------------------------------------------
+
+/// One step of the presence-filter property.
+#[derive(Debug, Clone, Copy)]
+enum PresenceOp {
+    /// A demand read: installs priority-0, or promotes.
+    Read(u64, u16),
+    /// A writeback: installs priority-1 dirty, driving global evictions.
+    Write(u64, u16),
+    /// Flush one line.
+    FlushLine(u64, u16),
+    /// Flush the whole cache.
+    FlushAll,
+    /// Re-key with a fresh seed.
+    Rekey(u64),
+    /// `FaultKind::TagBit` from a fault RNG with this seed.
+    TagBit(u64),
+}
+
+/// Few lines in many domains: each (line, domain) pair is its own tag
+/// entry, and every copy of a line maps to the same filter counters, so
+/// counters reach their saturation value of 15.
+fn arb_presence_op() -> impl Strategy<Value = PresenceOp> {
+    use PresenceOp::*;
+    (0u32..32, 0u64..4, 0u16..40, 0u64..1_000_000).prop_map(|(sel, l, d, s)| match sel {
+        0..=13 => Read(l, d),
+        14..=25 => Write(l, d),
+        26..=28 => FlushLine(l, d),
+        29 => TagBit(s),
+        30 => Rekey(s),
+        _ => FlushAll,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The presence filter never hides a valid line and stays equal to a
+    /// recount of the tag store, under installs, global and SAE
+    /// evictions, flushes, re-keys and stuck tag bits, on a tiny Maya
+    /// whose counters saturate (up to 24 copies of one line fit in its
+    /// two candidate sets).
+    #[test]
+    fn maya_presence_filter_never_hides_a_valid_line(
+        ops in proptest::collection::vec(arb_presence_op(), 1..600),
+        seed in 0u64..500,
+    ) {
+        let mut c = MayaCache::new(MayaConfig {
+            sets_per_skew: 4,
+            skews: 2,
+            base_ways_per_skew: 4,
+            reuse_ways_per_skew: 4,
+            invalid_ways_per_skew: 4,
+            skew_selection: maya_repro::maya_core::SkewSelection::LoadAware,
+            seed,
+        });
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                PresenceOp::Read(l, d) => {
+                    c.access(Request::read(l, DomainId(d)));
+                }
+                PresenceOp::Write(l, d) => {
+                    c.access(Request::writeback(l, DomainId(d)));
+                }
+                PresenceOp::FlushLine(l, d) => {
+                    c.flush_line(l, DomainId(d));
+                }
+                PresenceOp::FlushAll => c.flush_all(),
+                PresenceOp::Rekey(s) => c.rekey(s),
+                PresenceOp::TagBit(fault_seed) => {
+                    c.inject_fault(FaultKind::TagBit, &mut SmallRng::seed_from_u64(fault_seed));
+                }
+            }
+            for line in c.valid_lines() {
+                prop_assert!(
+                    c.maybe_present(line),
+                    "step {}: valid line {:#x} tests absent after {:?}",
+                    step,
+                    line,
+                    op
+                );
+            }
+            if let Err(e) = c.audit_presence() {
+                prop_assert!(false, "step {}: {} after {:?}", step, e, op);
+            }
+        }
     }
 }
