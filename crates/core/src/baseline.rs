@@ -1,8 +1,10 @@
 //! The conventional set-associative cache: the paper's non-secure baseline
-//! (16-way, SRRIP at the LLC), also reused for inner levels and — through
-//! [`Partitioning`] — for the secure-partitioning baselines of Table XI
-//! (DAWG way-partitioning, page-coloring set-partitioning, BCE-style
-//! flexible set-partitioning).
+//! (16-way, SRRIP at the LLC) and — through [`Partitioning`] — the
+//! secure-partitioning baselines of Table XI (DAWG way-partitioning,
+//! page-coloring set-partitioning, BCE-style flexible set-partitioning).
+//! The simulator's private L1/L2 are the lean `champsim_lite::PrivateCache`
+//! over the same [`SetStore`], pinned to this model's LRU behaviour by twin
+//! tests.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +13,7 @@ use maya_obs::{EvictionCause, ProbeHandle};
 
 use crate::cache::{stuck_tag_bit, CacheModel, FaultKind};
 use crate::replacement::{Policy, ReplacementState};
-use crate::storage::{meta, TagArena};
+use crate::sets::{key, meta, SetStore};
 use crate::types::{
     AccessEvent, AccessKind, CacheStats, DomainId, Recorder, Request, Response, Victim, Writebacks,
 };
@@ -74,12 +76,10 @@ impl SetAssocConfig {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: SetAssocConfig,
-    /// Struct-of-arrays line store (see [`crate::storage`]): the hit scan —
-    /// which every L1/L2 access in the simulator goes through — walks the
-    /// compact tag lane instead of 24-byte line structs. Only the meta/
-    /// tag/sdid lanes are used (no decoupled data store, so the arena is
-    /// built with zero data entries).
-    lines: TagArena,
+    /// Key and tag lanes, set `s` at entries `[s * ways, (s + 1) * ways)`:
+    /// the hit scan walks the packed key lane and reads a tag only to
+    /// confirm a filter match.
+    lines: SetStore,
     repl: ReplacementState,
     rec: Recorder,
     rng: SmallRng,
@@ -118,7 +118,7 @@ impl SetAssocCache {
             }
         }
         Self {
-            lines: TagArena::new(config.sets * config.ways, 0),
+            lines: SetStore::new(config.sets * config.ways),
             repl: ReplacementState::new(config.policy, config.sets, config.ways),
             rec: Recorder::default(),
             rng: SmallRng::seed_from_u64(config.seed),
@@ -187,7 +187,7 @@ impl SetAssocCache {
         let (first, n) = self.way_range(domain);
         let base = self.line_index(set, first);
         self.lines
-            .find_way_any(base, n, line)
+            .find_way(base, n, line, 0, key::MATCH_LINE)
             .map(|i| i - self.line_index(set, 0))
     }
 
@@ -238,7 +238,7 @@ impl SetAssocCache {
             } else {
                 0
             };
-        self.lines.install_tag(idx, line, m, req.domain.0);
+        self.lines.install(idx, line, m, req.domain.0);
         // Prefetch fills insert at normal priority: the DRRIP dueling
         // already demotes thrashing streams, and synthetic streams (unlike
         // real traces) have exactly one demand reuse per prefetched line,
@@ -298,9 +298,7 @@ impl CacheModel for SetAssocCache {
     }
 
     fn flush_all(&mut self) {
-        for i in 0..self.lines.tag_entries() {
-            self.lines.meta_and(i, !meta::VALID);
-        }
+        self.lines.clear();
         self.rec.flush_all();
     }
 

@@ -23,8 +23,9 @@ use rand::{Rng, SeedableRng};
 use maya_obs::{Component, EvictionCause, ProfileHandle};
 use prince_cipher::{IndexFunction, DEFAULT_MEMO_SLOTS, MAX_SKEWS};
 
+use crate::arena::{TagArena, NONE};
 use crate::cache::stuck_tag_bit;
-use crate::storage::{meta, TagArena, NONE};
+use crate::sets::{key, meta};
 use crate::types::{DomainId, Recorder, Victim, Writebacks};
 
 /// The tag/data store, index function, recorder, replacement RNG and
@@ -35,7 +36,7 @@ pub(crate) struct DecoupledStore {
     pub(crate) sets_per_skew: usize,
     pub(crate) ways_per_skew: usize,
     pub(crate) index: IndexFunction,
-    /// Struct-of-arrays tag/data store (see [`crate::storage`]).
+    /// Struct-of-arrays tag/data store (see [`TagArena`]).
     pub(crate) arena: TagArena,
     pub(crate) rec: Recorder,
     pub(crate) rng: SmallRng,
@@ -195,10 +196,13 @@ impl DecoupledStore {
         let line = c.line;
         for (skew, &set) in self.candidate_sets(c).iter().enumerate() {
             let base = self.base(skew, set);
-            if let Some(i) = self
-                .arena
-                .find_way(base, self.ways_per_skew, line, domain.0)
-            {
+            if let Some(i) = self.arena.find_way(
+                base,
+                self.ways_per_skew,
+                line,
+                domain.0,
+                key::MATCH_LINE_SDID,
+            ) {
                 return Some(i);
             }
         }

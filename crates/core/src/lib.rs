@@ -1,8 +1,9 @@
 //! Cache models for the Maya reproduction: the paper's contribution
 //! ([`MayaCache`]), the designs it is compared against ([`MirageCache`],
 //! the set-associative baseline [`SetAssocCache`], a true
-//! [`FullyAssocCache`]), the Table XI secure-partitioning baselines, and an
-//! exact storage model ([`storage`]).
+//! [`FullyAssocCache`]), the Table XI secure-partitioning baselines, the
+//! set-associative line store they and the simulator's L1/L2 share
+//! ([`sets`]), and an exact storage model ([`storage`]).
 //!
 //! All designs implement the object-safe [`CacheModel`] trait, so the
 //! `champsim-lite` simulator, the `attacks` framework, and the experiment
@@ -26,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 mod baseline;
 mod cache;
 mod ceaser;
@@ -36,6 +38,7 @@ mod mirage;
 pub mod partitioned;
 mod replacement;
 mod scatter;
+pub mod sets;
 mod skewed;
 pub mod storage;
 mod threshold;

@@ -35,15 +35,16 @@ use rand::Rng;
 
 use maya_obs::{Component, EvictionCause, ProbeHandle, ProfileHandle};
 
+use crate::arena::NONE;
 use crate::cache::{CacheModel, FaultKind};
 use crate::decoupled::{draw_allocated, CandidateSets, DecoupledStore};
 use crate::mirage::SkewSelection;
-use crate::storage::{key, meta, NONE};
+use crate::sets::{key, meta};
 use crate::types::{
     AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Victim, Writebacks,
 };
 
-/// Packed meta-lane bits for a tag state (see [`crate::storage::meta`]).
+/// Packed meta-lane bits for a tag state (see [`crate::sets::meta`]).
 #[inline]
 fn meta_bits(state: TagState) -> u8 {
     match state {
@@ -52,6 +53,13 @@ fn meta_bits(state: TagState) -> u8 {
         TagState::Priority1Clean => meta::VALID | meta::DATA,
         TagState::Priority1Dirty => meta::VALID | meta::DATA | meta::DIRTY,
     }
+}
+
+/// True when a packed key word encodes the priority-0 state (valid, no
+/// data; `DIRTY`/`REUSED` may ride alongside).
+#[inline]
+fn is_p0(k: u32) -> bool {
+    k & (key::VALID | key::DATA) == key::VALID
 }
 
 /// Inverse of [`meta_bits`]; the `REUSED` bit rides alongside the state.
@@ -349,14 +357,14 @@ impl MayaCache {
         // the collected length). Priority-0 in the packed key lane: valid,
         // no data (the REUSED bit may ride along on downgraded entries).
         let keys = s.arena.keys(base, ways);
-        let p0_count = keys.iter().filter(|&&k| key::is_p0(k)).count();
+        let p0_count = keys.iter().filter(|&&k| is_p0(k)).count();
         let way = if p0_count == 0 {
             s.rng.gen_range(0..ways)
         } else {
             let nth = s.rng.gen_range(0..p0_count);
             keys.iter()
                 .enumerate()
-                .filter(|&(_, &k)| key::is_p0(k))
+                .filter(|&(_, &k)| is_p0(k))
                 .map(|(w, _)| w)
                 .nth(nth)
                 .unwrap_or(0)

@@ -21,9 +21,10 @@ use rand::Rng;
 
 use maya_obs::{Component, EvictionCause, ProbeHandle, ProfileHandle};
 
+use crate::arena::NONE;
 use crate::cache::{CacheModel, FaultKind};
 use crate::decoupled::{CandidateSets, DecoupledStore};
-use crate::storage::{meta, NONE};
+use crate::sets::meta;
 use crate::types::{AccessEvent, AccessKind, CacheStats, DomainId, Request, Response, Writebacks};
 
 /// How fills choose between the two candidate sets.

@@ -1,19 +1,19 @@
 //! Struct-of-arrays private (L1/L2) cache model.
 //!
-//! The per-core L1D and L2 used to be full [`maya_core::baseline`]
-//! `SetAssocCache` instances, but the simulator observes only three things
-//! from a private level: hit/miss, at most one dirty-victim writeback per
-//! access, and a tag-presence probe. Everything else the baseline tracks —
-//! statistics, reuse bits, domains, probes (never attached at these
-//! levels), replacement-policy generality — is dead weight paid on every
-//! one of the hottest lookups in the simulator (the L1 sees every access,
-//! the L2 every L1 miss and prefetch).
+//! The per-core L1D and L2 used to be full [`maya_core::SetAssocCache`]
+//! instances, but the simulator observes only three things from a private
+//! level: hit/miss, at most one dirty-victim writeback per access, and a
+//! tag-presence probe. Everything else the baseline tracks — statistics,
+//! reuse bits, domains, probes (never attached at these levels),
+//! replacement-policy generality — is dead weight paid on every one of the
+//! hottest lookups in the simulator (the L1 sees every access, the L2
+//! every L1 miss and prefetch).
 //!
-//! [`PrivateCache`] keeps exactly the observable state, in the same
-//! struct-of-arrays packed-key layout the LLC's `TagArena` uses: a `u32`
-//! key lane (filter byte + valid/dirty bits) scanned one cache line at a
-//! time with the full tag confirmed only on a filter match, plus parallel
-//! tag and LRU-stamp lanes.
+//! [`PrivateCache`] keeps exactly the observable state: its lines live in
+//! the same [`SetStore`] the LLC baseline uses (the packed key lane scanned
+//! one cache line at a time, the full tag confirmed only on a filter
+//! match; every line is domain 0), plus an LRU-stamp lane and clock of its
+//! own.
 //!
 //! Behavioral equivalence with `SetAssocCache { Lru, Partitioning::None }`
 //! is bit-exact and pinned by twin tests: same set mapping (`line & mask`),
@@ -21,17 +21,7 @@
 //! victim choice, and the same single wrapping LRU clock bumped exactly
 //! once per access.
 
-/// Multiplicative tag-hash filter, identical to `TagArena::filt` so the
-/// two SoA layouts stay directly comparable in microbenchmarks.
-#[inline]
-fn filt(line: u64) -> u32 {
-    (((line.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u32) << FILT_SHIFT) & FILT_MASK
-}
-
-const FILT_SHIFT: u32 = 24;
-const FILT_MASK: u32 = 0xFF << FILT_SHIFT;
-const VALID: u32 = 1 << 16;
-const DIRTY: u32 = 1 << 17;
+use maya_core::sets::{key, meta, SetStore};
 
 /// Outcome of one private-cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +38,9 @@ pub struct PrivateResponse {
 pub struct PrivateCache {
     set_mask: u64,
     ways: usize,
-    /// Packed per-way key: filter byte | dirty | valid.
-    keys: Vec<u32>,
-    tags: Vec<u64>,
+    /// Key and tag lanes, set `s` at entries `[s * ways, (s + 1) * ways)`.
+    lines: SetStore,
+    /// LRU stamp per entry: the clock value of its last access.
     stamps: Vec<u32>,
     clock: u32,
 }
@@ -63,8 +53,7 @@ impl PrivateCache {
         PrivateCache {
             set_mask: (sets - 1) as u64,
             ways,
-            keys: vec![0; sets * ways],
-            tags: vec![0; sets * ways],
+            lines: SetStore::new(sets * ways),
             stamps: vec![0; sets * ways],
             clock: 0,
         }
@@ -78,9 +67,8 @@ impl PrivateCache {
     /// First way in the set holding `line`, if present.
     #[inline]
     fn find(&self, base: usize, line: u64) -> Option<usize> {
-        let want = filt(line) | VALID;
-        const MASK: u32 = FILT_MASK | VALID;
-        (base..base + self.ways).find(|&i| self.keys[i] & MASK == want && self.tags[i] == line)
+        self.lines
+            .find_way(base, self.ways, line, 0, key::MATCH_LINE)
     }
 
     /// True when `line` is present (no LRU update).
@@ -107,7 +95,7 @@ impl PrivateCache {
         let base = self.base(line);
         if let Some(i) = self.find(base, line) {
             if is_write {
-                self.keys[i] |= DIRTY;
+                self.lines.meta_or(i, meta::DIRTY);
             }
             self.clock = self.clock.wrapping_add(1);
             self.stamps[i] = self.clock;
@@ -118,14 +106,7 @@ impl PrivateCache {
         }
         // Fill: first invalid way, else first-minimum LRU stamp — the
         // same scan order and tie-break as `ReplacementState::choose_victim`.
-        let mut slot = None;
-        for i in base..base + self.ways {
-            if self.keys[i] & VALID == 0 {
-                slot = Some(i);
-                break;
-            }
-        }
-        let (i, writeback) = match slot {
+        let (i, writeback) = match self.lines.first_invalid(base, self.ways) {
             Some(i) => (i, None),
             None => {
                 let mut victim = base;
@@ -134,12 +115,13 @@ impl PrivateCache {
                         victim = i;
                     }
                 }
-                let wb = (self.keys[victim] & DIRTY != 0).then_some(self.tags[victim]);
+                let wb =
+                    (self.lines.meta(victim) & meta::DIRTY != 0).then_some(self.lines.tag(victim));
                 (victim, wb)
             }
         };
-        self.keys[i] = filt(line) | VALID | if is_write { DIRTY } else { 0 };
-        self.tags[i] = line;
+        let dirty = if is_write { meta::DIRTY } else { 0 };
+        self.lines.install(i, line, meta::VALID | dirty, 0);
         self.clock = self.clock.wrapping_add(1);
         self.stamps[i] = self.clock;
         PrivateResponse {

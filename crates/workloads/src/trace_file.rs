@@ -81,10 +81,13 @@ impl TraceFile {
     ///
     /// # Errors
     ///
-    /// Returns an error for I/O failures, a bad magic value, or a
-    /// truncated file.
+    /// Returns an error for I/O failures, a bad magic value, or a header
+    /// record count that disagrees with the file's length (a truncated
+    /// file among them).
     pub fn open(path: &Path) -> io::Result<Self> {
-        let mut r = BufReader::new(File::open(path)?);
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut r = BufReader::new(file);
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -98,6 +101,14 @@ impl TraceFile {
         let count = u64::from_le_bytes(count_buf);
         if count == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "empty trace"));
+        }
+        // The header's count sizes the allocation below, so it must match
+        // the records the file actually holds before anything is reserved.
+        if count.checked_mul(16).and_then(|b| b.checked_add(16)) != Some(len) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("header claims {count} records but the file is {len} bytes"),
+            ));
         }
         let mut records = Vec::with_capacity(count as usize);
         let mut rec = [0u8; 16];
@@ -183,6 +194,19 @@ mod tests {
         std::fs::write(&path, b"NOTATRACEFILE___").expect("write");
         assert!(TraceFile::open(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn record_count_the_file_cannot_hold_is_rejected() {
+        for (tag, count) in [("countmax", u64::MAX), ("count2p40", 1u64 << 40)] {
+            let path = temp_path(tag);
+            let mut header = MAGIC.to_vec();
+            header.extend_from_slice(&count.to_le_bytes());
+            std::fs::write(&path, &header).expect("write");
+            let err = TraceFile::open(&path).expect_err("count exceeds the file");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "count {count}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: the Maya cache's pointer/population invariants under
 //! arbitrary request sequences, PRINCE's permutation properties, the
-//! Figure-3 state machine, and storage-model monotonicity.
+//! Figure-3 state machine, storage-model monotonicity, and the
+//! set-associative line store against a linear oracle.
 
 use proptest::prelude::*;
 
 use maya_repro::maya_core::maya::{transition, TagEvent, TagState};
+use maya_repro::maya_core::sets::{self, SetStore};
 use maya_repro::maya_core::storage::StorageReport;
 use maya_repro::maya_core::{
     AccessEvent, CacheModel, DomainId, FaultKind, MayaCache, MayaConfig, MirageCache, MirageConfig,
@@ -528,6 +530,178 @@ proptest! {
             }
             if let Err(e) = c.audit_presence() {
                 prop_assert!(false, "step {}: {} after {:?}", step, e, op);
+            }
+        }
+    }
+}
+
+// --- the set-associative line store ----------------------------------------
+
+/// One step of the line-store oracle property. Entry indices and line
+/// picks are taken modulo the geometry and the line pool.
+#[derive(Debug, Clone, Copy)]
+enum StoreOp {
+    Install(usize, usize, u8, u16),
+    SetMeta(usize, u8),
+    MetaOr(usize, u8),
+    MetaAnd(usize, u8),
+    MetaXor(usize, u8),
+    SetSdid(usize, u16),
+    SetTag(usize, usize),
+    Invalidate(usize),
+    Clear,
+}
+
+/// Domains the store ops draw from; `0xFFFF` fills the whole sdid half.
+const STORE_SDIDS: [u16; 4] = [0, 1, 2, 0xFFFF];
+
+fn arb_store_op() -> impl Strategy<Value = StoreOp> {
+    use StoreOp::*;
+    (0u32..64, 0usize..64, 0usize..64, any::<u8>(), 0usize..4).prop_map(|(sel, i, l, m, d)| {
+        match sel {
+            0..=19 => Install(i, l, m | sets::meta::VALID, STORE_SDIDS[d]),
+            20..=23 => Install(i, l, m, STORE_SDIDS[d]),
+            24..=29 => SetMeta(i, m),
+            30..=35 => MetaOr(i, m),
+            36..=41 => MetaAnd(i, m),
+            42..=47 => MetaXor(i, m),
+            48..=51 => SetSdid(i, STORE_SDIDS[d]),
+            52..=57 => SetTag(i, l),
+            58..=62 => Invalidate(i),
+            _ => Clear,
+        }
+    })
+}
+
+/// The store's filter byte of `line`, read back from a one-entry store.
+fn filter_byte(line: u64) -> u32 {
+    let mut s = SetStore::new(1);
+    s.install(0, line, 0, 0);
+    s.keys(0, 1)[0] & sets::key::FILT_MASK
+}
+
+/// Eight lines, then for each of them the next address above `1 << 20`
+/// that shares its filter byte, so some pairs differ only in the tag lane.
+fn store_line_pool() -> Vec<u64> {
+    let mut pool: Vec<u64> = (0..8).map(|l| l * 5 + 3).collect();
+    for l in pool.clone() {
+        let f = filter_byte(l);
+        let twin = (1u64 << 20..)
+            .find(|&x| !pool.contains(&x) && filter_byte(x) == f)
+            .expect("a 256-valued filter byte repeats");
+        pool.push(twin);
+    }
+    pool
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The set store agrees with a plain `(valid, tag, sdid, meta)` vector
+    /// under installs, meta writes, sdid and tag rewrites, invalidations
+    /// and clears on a 4-set, 4-way geometry: after every step the masked
+    /// scan (any domain and one domain), the first-invalid scan and the
+    /// invalid-way count match a linear scan of the oracle over every set
+    /// and over a way range that skips each set's first way.
+    #[test]
+    fn set_store_matches_a_linear_oracle(
+        ops in proptest::collection::vec(arb_store_op(), 1..300),
+    ) {
+        const SETS: usize = 4;
+        const WAYS: usize = 4;
+        const N: usize = SETS * WAYS;
+        let pool = store_line_pool();
+        let mut store = SetStore::new(N);
+        // Invalid entries of a fresh store hold tag 0, sdid 0, meta 0.
+        let mut oracle = vec![(false, 0u64, 0u16, 0u8); N];
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                StoreOp::Install(i, l, m, d) => {
+                    store.install(i % N, pool[l % pool.len()], m, d);
+                    oracle[i % N] = (m & sets::meta::VALID != 0, pool[l % pool.len()], d, m);
+                }
+                StoreOp::SetMeta(i, m) => {
+                    store.set_meta(i % N, m);
+                    oracle[i % N].3 = m;
+                }
+                StoreOp::MetaOr(i, m) => {
+                    store.meta_or(i % N, m);
+                    oracle[i % N].3 |= m;
+                }
+                StoreOp::MetaAnd(i, m) => {
+                    store.meta_and(i % N, m);
+                    oracle[i % N].3 &= m;
+                }
+                StoreOp::MetaXor(i, m) => {
+                    store.meta_xor(i % N, m);
+                    oracle[i % N].3 ^= m;
+                }
+                StoreOp::SetSdid(i, d) => {
+                    store.set_sdid(i % N, d);
+                    oracle[i % N].2 = d;
+                }
+                StoreOp::SetTag(i, l) => {
+                    store.set_tag(i % N, pool[l % pool.len()]);
+                    oracle[i % N].1 = pool[l % pool.len()];
+                }
+                StoreOp::Invalidate(i) => {
+                    store.meta_and(i % N, !sets::meta::VALID);
+                    oracle[i % N].3 &= !sets::meta::VALID;
+                }
+                StoreOp::Clear => {
+                    store.clear();
+                    for e in &mut oracle {
+                        e.3 = 0;
+                    }
+                }
+            }
+            for e in &mut oracle {
+                e.0 = e.3 & sets::meta::VALID != 0;
+            }
+            for (i, &(valid, tag, sdid, meta)) in oracle.iter().enumerate() {
+                let have = (store.meta(i), store.sdid(i), valid.then(|| store.tag(i)));
+                let want = (meta, sdid, valid.then_some(tag));
+                prop_assert!(
+                    have == want,
+                    "step {}: entry {} holds {:?}, oracle {:?} after {:?}",
+                    step, i, have, want, op
+                );
+            }
+            for set in 0..SETS {
+                for (base, ways) in [(set * WAYS, WAYS), (set * WAYS + 1, WAYS - 1)] {
+                    let range = base..base + ways;
+                    let have = (store.first_invalid(base, ways), store.invalid_ways(base, ways));
+                    let want = (
+                        range.clone().find(|&i| !oracle[i].0),
+                        range.clone().filter(|&i| !oracle[i].0).count(),
+                    );
+                    prop_assert!(
+                        have == want,
+                        "step {}: invalid scans of {:?} give {:?}, oracle {:?} after {:?}",
+                        step, range, have, want, op
+                    );
+                    for &line in &pool {
+                        let have = store.find_way(base, ways, line, 0, sets::key::MATCH_LINE);
+                        let want = range.clone().find(|&i| oracle[i].0 && oracle[i].1 == line);
+                        prop_assert!(
+                            have == want,
+                            "step {}: line {:#x} in {:?} found at {:?}, oracle {:?} after {:?}",
+                            step, line, range, have, want, op
+                        );
+                        for d in STORE_SDIDS {
+                            let have =
+                                store.find_way(base, ways, line, d, sets::key::MATCH_LINE_SDID);
+                            let want = range
+                                .clone()
+                                .find(|&i| oracle[i].0 && oracle[i].1 == line && oracle[i].2 == d);
+                            prop_assert!(
+                                have == want,
+                                "step {}: line {:#x} domain {} in {:?} found at {:?}, oracle {:?} after {:?}",
+                                step, line, d, range, have, want, op
+                            );
+                        }
+                    }
+                }
             }
         }
     }
